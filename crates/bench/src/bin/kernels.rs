@@ -11,6 +11,12 @@
 //! case (no pure chunks to shortcut), so the table reports the floor of
 //! the SIMD advantage, not cherry-picked stretches.
 //!
+//! A second table times the heap's INSERT staging sort on
+//! `Entry<u32, u32>` batches of random 30-bit keys: pdqsort
+//! (`sort_unstable`) against the allocation-free LSD radix kernel
+//! (`primitives::radix_sort_by_key_with`). Its crossover sets the batch
+//! size from which `bgpq` stages lane-keyed batches with radix sort.
+//!
 //! Results land in `bench_results/kernels.csv` and `BENCH_kernels.json`.
 //!
 //! Usage: `kernels [--scale small|medium|full]` (3 trials per cell at
@@ -19,6 +25,7 @@
 use bench::harness::{median_of, Cli, Obj};
 use bench::report::{results_dir, Table};
 use bench::Scale;
+use pq_api::Entry;
 use primitives::simd::{self, DispatchMode};
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,22 +42,21 @@ fn sorted_run(n: usize, seed: u64) -> Vec<u32> {
     v
 }
 
-/// Median-of-trials ns/key for one (kernel, mode, n) cell. `keys` is
-/// how many keys one call moves; `body` performs one call.
-fn time_cell(trials: usize, n_keys_per_call: usize, mut body: impl FnMut()) -> f64 {
-    // Size the inner loop so a trial spans a few milliseconds.
+/// ns/key of one trial: `body` performs one call moving
+/// `n_keys_per_call` keys, repeated so the trial spans a few
+/// milliseconds.
+fn trial_ns(n_keys_per_call: usize, body: &mut impl FnMut()) -> f64 {
     let reps = (4_000_000 / n_keys_per_call).max(8);
-    median_of(
-        trials,
-        || {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                body();
-            }
-            t0.elapsed().as_secs_f64() * 1e9 / (reps * n_keys_per_call) as f64
-        },
-        |&ns| ns,
-    )
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        body();
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / (reps * n_keys_per_call) as f64
+}
+
+/// Median-of-trials ns/key for one (kernel, mode, n) cell.
+fn time_cell(trials: usize, n_keys_per_call: usize, mut body: impl FnMut()) -> f64 {
+    median_of(trials, || trial_ns(n_keys_per_call, &mut body), |&ns| ns)
 }
 
 fn bench_merge(trials: usize, n: usize) -> f64 {
@@ -82,6 +88,28 @@ fn bench_sort_split(trials: usize, n: usize) -> f64 {
         w.copy_from_slice(&w0);
         simd::sort_split(black_box(&mut z), n, black_box(&mut w), n, n, &mut scratch);
     })
+}
+
+/// pdqsort vs radix ns/key for one staging batch of `n` entries. The
+/// two sorts alternate within each trial, so host load drifts hit both
+/// alike; the trial with the median speedup is reported.
+fn bench_staging(trials: usize, n: usize) -> (f64, f64) {
+    let base: Vec<Entry<u32, u32>> = generate_keys(n, KeyDist::Random, 36)
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| Entry::new(k, i as u32))
+        .collect();
+    let (mut pdq_buf, mut radix_buf) = (base.clone(), base.clone());
+    let mut scratch = Vec::with_capacity(n);
+    let mut pdq = || {
+        pdq_buf.copy_from_slice(&base);
+        black_box(&mut pdq_buf[..]).sort_unstable();
+    };
+    let mut radix = || {
+        radix_buf.copy_from_slice(&base);
+        primitives::radix_sort_by_key_with(black_box(&mut radix_buf[..]), &mut scratch, |e| e.key);
+    };
+    median_of(trials, || (trial_ns(n, &mut pdq), trial_ns(n, &mut radix)), |&(p, r)| p / r)
 }
 
 fn bench_kernel(kernel: &str, trials: usize, n: usize) -> f64 {
@@ -144,13 +172,36 @@ fn main() {
         }
     }
 
+    let mut st = Table::new("staging_sort", &["n", "pdqsort ns/key", "radix ns/key", "speedup"]);
+    let mut staging = Vec::new();
+    for &n in &SIZES {
+        let (pdq, radix) = bench_staging(trials, n);
+        st.row(vec![
+            n.to_string(),
+            format!("{pdq:.3}"),
+            format!("{radix:.3}"),
+            format!("{:.2}", pdq / radix),
+        ]);
+        staging.push(
+            Obj::default()
+                .val("n", n)
+                .num("pdqsort_ns_per_key", pdq, 3)
+                .num("radix_ns_per_key", radix, 3)
+                .num("speedup", pdq / radix, 3),
+        );
+    }
+
     t.print();
-    let p = t.write_csv(&results_dir()).expect("write csv");
+    st.print();
+    let dir = results_dir();
+    let p = t.write_csv(&dir).expect("write csv");
+    st.write_csv(&dir).expect("write csv");
     eprintln!("wrote {} (vector mode {vector_mode:?})", p.display());
     Obj::default()
         .str("bench", "kernels")
         .str("vector_mode", format!("{vector_mode:?}"))
         .arr("cells", cells)
         .obj("speedup_at_1024", at_1024)
+        .arr("staging_sort", staging)
         .write("BENCH_kernels.json");
 }

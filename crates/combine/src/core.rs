@@ -217,10 +217,6 @@ pub struct CombineShared<K: KeyType, V: ValueType> {
     /// linger and the stats, *not* part of the exit-protocol proof
     /// (ring emptiness under the ring mutexes is the ground truth).
     pending: AtomicUsize,
-    /// High-water mark of `pending` as sampled at gather entry — how
-    /// much simultaneous demand the combiner ever saw (diagnostics;
-    /// the coalesce bench reports it next to the mean occupancy).
-    peak_pending: AtomicUsize,
     /// Current coalescing window, `1..=2k`. Opening past `k` matters
     /// for mixed traffic: a `k`-wide round splits into an insert part
     /// and a delete part, each only a fraction of `k` wide. A `2k`
@@ -252,7 +248,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
         Self {
             rings: (0..opts.rings).map(|_| Ring { q: Mutex::new(VecDeque::new()) }).collect(),
             pending: AtomicUsize::new(0),
-            peak_pending: AtomicUsize::new(0),
             window: AtomicUsize::new(opts.initial_window.clamp(1, 2 * batch_capacity)),
             poisoned: AtomicBool::new(false),
             unavail_ticket: AtomicU64::new(0),
@@ -284,12 +279,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     /// Current adaptive window (diagnostics).
     pub fn window(&self) -> usize {
         self.window.load(Ordering::Relaxed)
-    }
-
-    /// Most simultaneous armed requests any gather ever observed
-    /// (diagnostics: an upper bound on achievable batch occupancy).
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending.load(Ordering::Relaxed)
     }
 
     /// The backend batch capacity this front coalesces toward.
@@ -434,7 +423,6 @@ impl<K: KeyType, V: ValueType> CombineShared<K, V> {
     fn gather<B: CombineBackend<K, V>>(&self, backend: &mut B, s: &mut CombineScratch<K, V>) {
         s.round.clear();
         backend.touch_shared(true);
-        self.peak_pending.fetch_max(self.pending.load(Ordering::SeqCst), Ordering::Relaxed);
         let window = self.window.load(Ordering::Relaxed).clamp(1, self.max_window());
         let mut spins = 0u32;
         loop {

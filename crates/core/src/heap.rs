@@ -40,6 +40,28 @@ const SPIN_ESCALATE_AFTER: u64 = 1 << 10;
 /// a node plus both children).
 const MAX_HELD: usize = 4;
 
+/// Smallest INSERT batch whose staging sort (Alg. 1 line 2) runs the
+/// LSD radix kernel, `primitives::radix_sort_by_key_with`, instead of
+/// pdqsort; only keys with a 32-bit lane (`KeyType::HAS_LANE32`) take
+/// it. The crossover, from the `staging_sort` cells of the `kernels`
+/// bin (`BENCH_kernels.json`, `Entry<u32, u32>`): radix is at parity
+/// at n = 256 (0.84–1.07× over seven runs) and ahead from n = 512
+/// (median 1.34×).
+pub const RADIX_STAGE_MIN: usize = 512;
+
+/// Sort an INSERT staging batch (Alg. 1 line 2). Batches of lane keys
+/// of at least [`RADIX_STAGE_MIN`] entries take the stable LSD radix
+/// kernel by `to_lane32`, ping-ponging through `scratch` (the
+/// operation's merge scratch, free until the root `SORT_SPLIT`); all
+/// others take pdqsort. Only key order is promised, not tie order.
+fn stage_sort<K: KeyType, V: ValueType>(batch: &mut [Entry<K, V>], scratch: &mut Vec<Entry<K, V>>) {
+    if K::HAS_LANE32 && batch.len() >= RADIX_STAGE_MIN {
+        primitives::radix_sort_by_key_with(batch, scratch, |e| e.key.to_lane32());
+    } else {
+        batch.sort_unstable();
+    }
+}
+
 /// A batched, heap-based, lock-based, linearizable concurrent priority
 /// queue — the paper's contribution.
 pub struct Bgpq<K, V, P: Platform> {
@@ -648,7 +670,7 @@ impl<K: KeyType, V: ValueType, P: Platform> Bgpq<K, V, P> {
         let lanes = &mut s.lanes;
         buf[..size].copy_from_slice(items);
         c.charge(PrimitiveCost::SortWith { n: size, algo: self.opts.sort_algo });
-        buf[..size].sort_unstable();
+        stage_sort(&mut buf[..size], scratch);
 
         c.lock_entry(ROOT)?;
         if self.is_poisoned() {

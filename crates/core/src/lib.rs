@@ -43,7 +43,7 @@ pub mod storage;
 pub mod tree;
 
 pub use cpu::{CpuBgpq, CpuBgpqFactory};
-pub use heap::{Bgpq, SalvageOutcome};
+pub use heap::{Bgpq, SalvageOutcome, RADIX_STAGE_MIN};
 pub use history::{
     check_collaboration, check_history, HistoryEvent, HistoryOp, HistoryViolation, ProtocolEvent,
     ProtocolKind,

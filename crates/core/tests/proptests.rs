@@ -1,7 +1,7 @@
 //! Property-based tests: arbitrary operation sequences against the
 //! reference model, across node capacities and ablation settings.
 
-use bgpq::{BgpqOptions, CpuBgpq};
+use bgpq::{BgpqOptions, CpuBgpq, RADIX_STAGE_MIN};
 use pq_api::{BatchPriorityQueue, Entry};
 use proptest::prelude::*;
 use std::collections::BinaryHeap;
@@ -21,14 +21,38 @@ fn ops_strategy(k: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 1..len)
 }
 
+/// Operations at node capacity `k` whose insert batches straddle
+/// [`RADIX_STAGE_MIN`]: a few small batches (pdqsort staging) among
+/// batches just below and at or above the threshold (radix staging),
+/// keys either wide or from a tiny domain full of duplicates.
+fn ops_across_radix_threshold(k: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
+    assert!(RADIX_STAGE_MIN <= k, "k = {k} never reaches radix staging");
+    let size = prop_oneof![1usize..=8, (RADIX_STAGE_MIN - 4)..=k];
+    let keys = size.prop_flat_map(|n| {
+        prop_oneof![
+            proptest::collection::vec(any::<u32>().prop_map(|x| x % (1 << 30)), n),
+            proptest::collection::vec(0u32..64, n),
+        ]
+    });
+    let op = prop_oneof![keys.prop_map(Op::Insert), (1..=k).prop_map(Op::Delete)];
+    proptest::collection::vec(op, 1..len)
+}
+
+/// Payload the model expects back with key `x`: checks that the
+/// staging sorts move each value together with its key.
+fn payload(x: u32) -> u32 {
+    x.rotate_left(7) ^ 0x5A5A_5A5A
+}
+
 fn run_against_model(k: usize, opts: BgpqOptions, ops: &[Op]) -> Result<(), TestCaseError> {
-    let q: CpuBgpq<u32, ()> = CpuBgpq::new(opts);
+    let q: CpuBgpq<u32, u32> = CpuBgpq::new(opts);
     let mut model: BinaryHeap<std::cmp::Reverse<u32>> = BinaryHeap::new();
     let mut out = Vec::new();
     for op in ops {
         match op {
             Op::Insert(keys) => {
-                let items: Vec<Entry<u32, ()>> = keys.iter().map(|&x| Entry::new(x, ())).collect();
+                let items: Vec<Entry<u32, u32>> =
+                    keys.iter().map(|&x| Entry::new(x, payload(x))).collect();
                 q.insert_batch(&items);
                 for &x in keys {
                     model.push(std::cmp::Reverse(x));
@@ -47,9 +71,13 @@ fn run_against_model(k: usize, opts: BgpqOptions, ops: &[Op]) -> Result<(), Test
                 prop_assert_eq!(got, expect.len());
                 let got_keys: Vec<u32> = out.iter().map(|e| e.key).collect();
                 prop_assert_eq!(got_keys, expect);
+                prop_assert!(
+                    out.iter().all(|e| e.value == payload(e.key)),
+                    "payload split from key"
+                );
             }
         }
-        prop_assert_eq!(BatchPriorityQueue::<u32, ()>::len(&q), model.len());
+        prop_assert_eq!(BatchPriorityQueue::<u32, u32>::len(&q), model.len());
     }
     q.inner().check_invariants();
     Ok(())
@@ -82,6 +110,11 @@ proptest! {
     #[test]
     fn matches_model_k1(ops in ops_strategy(1, 80)) {
         run_against_model(1, BgpqOptions { node_capacity: 1, max_nodes: 512, ..Default::default() }, &ops)?;
+    }
+
+    #[test]
+    fn matches_model_k512_across_radix_threshold(ops in ops_across_radix_threshold(512, 24)) {
+        run_against_model(512, BgpqOptions { node_capacity: 512, max_nodes: 512, ..Default::default() }, &ops)?;
     }
 
     #[test]

@@ -138,6 +138,27 @@ fn duplicate_keys_everywhere() {
     assert!(out[32..].iter().all(|e| e.key == 7));
 }
 
+/// Batches at the radix-staging size whose keys have no 32-bit lane
+/// (`u64` keys differing only above bit 32) must keep the pdqsort
+/// staging and drain in order.
+#[test]
+fn wide_keys_in_radix_sized_batches_drain_sorted() {
+    let k = bgpq::RADIX_STAGE_MIN;
+    let q: CpuBgpq<u64, ()> = CpuBgpq::new(opts(k, 64));
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut expect = Vec::new();
+    for _ in 0..8 {
+        let keys: Vec<u64> = (0..k).map(|_| u64::from(rng.gen::<u16>()) << 32).collect();
+        let items: Vec<Entry<u64, ()>> = keys.iter().map(|&x| Entry::new(x, ())).collect();
+        q.insert_batch(&items);
+        expect.extend(keys);
+    }
+    expect.sort_unstable();
+    let mut out = Vec::new();
+    while q.delete_min_batch(&mut out, k) > 0 {}
+    assert_eq!(out.iter().map(|e| e.key).collect::<Vec<_>>(), expect);
+}
+
 #[test]
 fn delete_from_empty_returns_zero() {
     let q: CpuBgpq<u32, ()> = CpuBgpq::new(opts(4, 16));

@@ -32,5 +32,5 @@ pub use merge_path::{
     merge_into, merge_into_scalar, merge_into_vec, merge_path_partition, merge_path_search,
     parallel_merge,
 };
-pub use radix::{merge_sort, radix_sort, radix_sort_by_key, RadixKey};
+pub use radix::{merge_sort, radix_sort, radix_sort_by_key, radix_sort_by_key_with, RadixKey};
 pub use sort_split::{sort_split, sort_split_full, SortSplitResult};

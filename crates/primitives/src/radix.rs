@@ -9,11 +9,10 @@
 //! [`crate::CostModel::radix_sort_cycles`] charges the corresponding
 //! lock-step schedule.
 //!
-//! Radix sort orders by a `u32` rank, so it applies to keys that expose
-//! one — [`RadixKey`] — covering the integer key types the paper's
-//! evaluation uses (30/32-bit keys, and 64-bit app priorities by
-//! sorting on the high half first... here: full u64 via two chained
-//! 32-bit sorts).
+//! Radix sort orders by an unsigned rank, so it applies to keys that
+//! expose one — [`RadixKey`] — covering the integer key types the
+//! paper's evaluation uses (30/32-bit keys in four 8-bit passes, 64-bit
+//! app priorities in eight).
 
 /// A key with a radix (unsigned integer) representation whose order
 /// matches `Ord`.
@@ -54,14 +53,34 @@ impl RadixKey for i64 {
 
 const DIGIT_BITS: u32 = 8;
 const BUCKETS: usize = 1 << DIGIT_BITS;
+/// Digit histograms kept per call: enough for the widest (64-bit) rank.
+const MAX_PASSES: usize = (u64::BITS / DIGIT_BITS) as usize;
 
 /// Number of count/scan/scatter passes for a key type.
 pub fn radix_passes<T: RadixKey>() -> u32 {
     T::RANK_BITS.div_ceil(DIGIT_BITS)
 }
 
-/// Stable LSD radix sort by `RadixKey` rank.
-pub fn radix_sort_by_key<T, K, F>(data: &mut [T], key_of: F)
+#[inline(always)]
+fn digit(rank: u64, pass: usize) -> usize {
+    (rank >> (pass as u32 * DIGIT_BITS)) as u8 as usize
+}
+
+/// Stable LSD radix sort by `RadixKey` rank, ping-ponging through the
+/// caller's `scratch` — the allocation-free kernel behind
+/// [`radix_sort_by_key`] and the heap's INSERT staging sort.
+///
+/// One read pass builds the histogram of every digit at once (the
+/// count stage of all passes fused); the scan and scatter stages then
+/// run once per digit. A digit that is the same for every element would
+/// scatter into a single bucket, i.e. copy the input unchanged, so it
+/// is skipped: keys that share their high bytes pay only for the
+/// digits that vary.
+///
+/// `scratch` is grown to `data.len()` when shorter (contents are never
+/// read, only overwritten), so a caller that keeps it at capacity
+/// makes the sort allocation-free, as with [`crate::sort_split()`].
+pub fn radix_sort_by_key_with<T, K, F>(data: &mut [T], scratch: &mut Vec<T>, key_of: F)
 where
     T: Copy,
     K: RadixKey,
@@ -71,36 +90,58 @@ where
     if n <= 1 {
         return;
     }
-    let passes = radix_passes::<K>();
-    let mut src: Vec<T> = data.to_vec();
-    let mut dst: Vec<T> = Vec::with_capacity(n);
-    // SAFETY-free version: use a second buffer initialised by cloning.
-    dst.extend_from_slice(data);
-
-    for pass in 0..passes {
-        let shift = pass * DIGIT_BITS;
-        // Stage 1 (block-parallel on a GPU): digit histogram.
-        let mut counts = [0usize; BUCKETS];
-        for item in src.iter() {
-            let d = ((key_of(item).rank() >> shift) & (BUCKETS as u64 - 1)) as usize;
-            counts[d] += 1;
+    // Counters are `u32` to halve the histogram footprint.
+    assert!(n <= u32::MAX as usize, "radix sort of more than u32::MAX elements");
+    let passes = radix_passes::<K>() as usize;
+    // Stage 1 (block-parallel on a GPU), every digit in one pass.
+    let mut counts = [[0u32; BUCKETS]; MAX_PASSES];
+    for item in data.iter() {
+        let r = key_of(item).rank();
+        for (p, c) in counts[..passes].iter_mut().enumerate() {
+            c[digit(r, p)] += 1;
         }
-        // Stage 2: exclusive prefix scan of the histogram.
-        let mut offsets = [0usize; BUCKETS];
+    }
+    if scratch.len() < n {
+        scratch.resize(n, data[0]);
+    }
+    let buf = &mut scratch[..n];
+    let first = key_of(&data[0]).rank();
+    let mut in_buf = false;
+    for (p, offsets) in counts[..passes].iter_mut().enumerate() {
+        if offsets[digit(first, p)] as usize == n {
+            continue;
+        }
+        // Stage 2: exclusive prefix scan of the histogram, in place.
         let mut acc = 0;
-        for (o, c) in offsets.iter_mut().zip(counts.iter()) {
+        for o in offsets.iter_mut() {
+            let c = *o;
             *o = acc;
             acc += c;
         }
         // Stage 3: stable scatter.
-        for item in src.iter() {
-            let d = ((key_of(item).rank() >> shift) & (BUCKETS as u64 - 1)) as usize;
-            dst[offsets[d]] = *item;
+        let (src, dst): (&[T], &mut [T]) =
+            if in_buf { (&*buf, &mut *data) } else { (&*data, &mut *buf) };
+        for item in src {
+            let d = digit(key_of(item).rank(), p);
+            dst[offsets[d] as usize] = *item;
             offsets[d] += 1;
         }
-        std::mem::swap(&mut src, &mut dst);
+        in_buf = !in_buf;
     }
-    data.copy_from_slice(&src);
+    if in_buf {
+        data.copy_from_slice(buf);
+    }
+}
+
+/// Stable LSD radix sort by `RadixKey` rank, with a fresh scratch
+/// buffer per call (see [`radix_sort_by_key_with`]).
+pub fn radix_sort_by_key<T, K, F>(data: &mut [T], key_of: F)
+where
+    T: Copy,
+    K: RadixKey,
+    F: Fn(&T) -> K,
+{
+    radix_sort_by_key_with(data, &mut Vec::new(), key_of);
 }
 
 /// Convenience: sort a slice of radix keys directly.
@@ -177,6 +218,36 @@ mod tests {
         let mut v: Vec<(u32, u32)> = vec![(2, 0), (1, 1), (2, 2), (1, 3), (2, 4)];
         radix_sort_by_key(&mut v, |&(k, _)| k);
         assert_eq!(v, vec![(1, 1), (1, 3), (2, 0), (2, 2), (2, 4)]);
+    }
+
+    #[test]
+    fn radix_with_reuses_a_warm_scratch() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut scratch: Vec<u32> = Vec::with_capacity(512);
+        let ptr = scratch.as_ptr();
+        for n in [512usize, 7, 300, 512] {
+            let mut v: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            radix_sort_by_key_with(&mut v, &mut scratch, |k| *k);
+            assert_eq!(v, expect, "n={n}");
+            assert_eq!((scratch.as_ptr(), scratch.capacity()), (ptr, 512), "scratch reallocated");
+        }
+    }
+
+    #[test]
+    fn radix_with_shared_digits() {
+        // A narrow window straddling a high-byte boundary, and keys
+        // sharing everything but the top byte (three skipped digits).
+        let mut v: Vec<u32> =
+            (0..1000u32).map(|i| 0x00FF_FF00 + i.wrapping_mul(7919) % 600).collect();
+        let mut w: Vec<u32> = (0..256u32).rev().map(|i| i << 24 | 0x00AB_CDEF).collect();
+        let (mut ev, mut ew) = (v.clone(), w.clone());
+        ev.sort_unstable();
+        ew.sort_unstable();
+        radix_sort(&mut v);
+        radix_sort(&mut w);
+        assert_eq!((v, w), (ev, ew));
     }
 
     #[test]

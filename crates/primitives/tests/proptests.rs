@@ -1,11 +1,14 @@
 //! Property-based tests for the data-parallel primitives: the network
 //! and merge-path schedules must agree with the standard library on every
-//! input, and `SORT_SPLIT` must satisfy the paper's formal postconditions.
+//! input, the radix kernel must equal a stable sort, and `SORT_SPLIT`
+//! must satisfy the paper's formal postconditions.
 
+use pq_api::{Entry, KeyType};
 use primitives::simd::{self, KeyIdxLane};
 use primitives::{
     bitonic_sort, bitonic_sort_padded, bitonic_sort_scalar, merge_into, merge_into_scalar,
-    merge_into_vec, merge_path_search, parallel_merge, sort_split, sort_split_full,
+    merge_into_vec, merge_path_search, parallel_merge, radix_sort_by_key_with, sort_split,
+    sort_split_full,
 };
 use proptest::prelude::*;
 
@@ -409,5 +412,84 @@ proptest! {
                 prop_assert!(w[0].idx() < w[1].idx());
             }
         }
+    }
+}
+
+/// Raw 64-bit draws for the lane-key radix property, in one of four
+/// shapes; each key type takes them by truncating cast, so the signed
+/// types see negative keys and every type sees both full-range and
+/// narrow inputs.
+fn radix_raw_keys() -> impl Strategy<Value = Vec<u64>> {
+    let n = 0usize..=4096;
+    prop_oneof![
+        // Full range: every digit varies.
+        proptest::collection::vec(any::<u64>(), n.clone()),
+        // Tiny domain around zero: long runs of duplicates, both signs.
+        proptest::collection::vec((0u64..16).prop_map(|x| x.wrapping_sub(8)), n.clone()),
+        // One shared high part; only the low byte varies.
+        (any::<u64>(), proptest::collection::vec(0u64..256, n.clone()))
+            .prop_map(|(base, low)| low.into_iter().map(|x| (base & !0xFF) | x).collect()),
+        // A narrow window at an arbitrary offset, often across a
+        // high-byte boundary.
+        (any::<u64>(), proptest::collection::vec(0u64..1 << 12, n))
+            .prop_map(|(base, off)| off.into_iter().map(|x| base.wrapping_add(x)).collect()),
+    ]
+}
+
+/// The radix kernel by `to_lane32` against the standard library's
+/// stable sort: same keys, and equal keys in input order. `sentinels`
+/// `MAX_KEY` entries lead the input (the padding the heap stages);
+/// `junk` stale entries sit in the scratch buffer beforehand.
+fn check_radix_lane<K: KeyType>(
+    keys: impl IntoIterator<Item = K>,
+    sentinels: usize,
+    junk: usize,
+) -> Result<(), TestCaseError> {
+    let input: Vec<Entry<K, u32>> = std::iter::repeat_n(K::MAX_KEY, sentinels)
+        .chain(keys)
+        .enumerate()
+        .map(|(i, k)| Entry::new(k, i as u32))
+        .collect();
+    let mut expect = input.clone();
+    expect.sort_by_key(|e| e.key);
+    let mut got = input;
+    let mut scratch = vec![Entry::new(K::MIN_KEY, u32::MAX); junk];
+    radix_sort_by_key_with(&mut got, &mut scratch, |e| e.key.to_lane32());
+    let pairs = |v: &[Entry<K, u32>]| v.iter().map(|e| (e.key, e.value)).collect::<Vec<_>>();
+    prop_assert_eq!(pairs(&got), pairs(&expect));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn radix_lane_u8_matches_stable_sort(raw in radix_raw_keys(), s in 0usize..4, j in 0usize..64) {
+        check_radix_lane(raw.into_iter().map(|x| x as u8), s, j)?;
+    }
+
+    #[test]
+    fn radix_lane_u16_matches_stable_sort(raw in radix_raw_keys(), s in 0usize..4, j in 0usize..64) {
+        check_radix_lane(raw.into_iter().map(|x| x as u16), s, j)?;
+    }
+
+    #[test]
+    fn radix_lane_u32_matches_stable_sort(raw in radix_raw_keys(), s in 0usize..4, j in 0usize..64) {
+        check_radix_lane(raw.into_iter().map(|x| x as u32), s, j)?;
+    }
+
+    #[test]
+    fn radix_lane_i8_matches_stable_sort(raw in radix_raw_keys(), s in 0usize..4, j in 0usize..64) {
+        check_radix_lane(raw.into_iter().map(|x| x as i8), s, j)?;
+    }
+
+    #[test]
+    fn radix_lane_i16_matches_stable_sort(raw in radix_raw_keys(), s in 0usize..4, j in 0usize..64) {
+        check_radix_lane(raw.into_iter().map(|x| x as i16), s, j)?;
+    }
+
+    #[test]
+    fn radix_lane_i32_matches_stable_sort(raw in radix_raw_keys(), s in 0usize..4, j in 0usize..64) {
+        check_radix_lane(raw.into_iter().map(|x| x as i32), s, j)?;
     }
 }

@@ -13,6 +13,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use pq_api::{Entry, KeyType, ValueType};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, Ordering};
 
 /// Maximum tower height; 2^24 expected keys is ample for the bench
@@ -270,40 +271,36 @@ impl<K: KeyType, V: ValueType> SkipList<K, V> {
         self.arena.lock().len()
     }
 
-    /// Quiescent check: level-0 order is sorted; `len` matches the
-    /// number of live nodes; every live node is reachable at level 0.
+    /// Quiescent check: every level is sorted; `len` matches the
+    /// number of live nodes at level 0; every upper-level node is also
+    /// linked at level 0 (upper links only skip, never diverge — a
+    /// node cut from level 0 but still linked above is where an insert
+    /// could land a key `claim_min` never reaches).
     pub fn check_invariants(&self) {
         let _g = self.structure.read();
         let mut live = 0usize;
-        let mut prev_key: Option<K> = None;
-        let mut curr = self.head.next[0].load(Ordering::Acquire);
-        while !curr.is_null() {
-            let node = unsafe { &*curr };
-            if let Some(p) = prev_key {
-                assert!(p <= node.entry.key, "level-0 order violated");
-            }
-            prev_key = Some(node.entry.key);
-            if !node.deleted.load(Ordering::Relaxed) {
-                live += 1;
-            }
-            curr = node.next[0].load(Ordering::Acquire);
-        }
-        assert_eq!(live, self.len(), "len counter drift");
-        // Every upper-level node must also appear in level-0 order:
-        // upper links only skip, never diverge.
-        for lvl in 1..MAX_LEVEL {
+        let mut level0 = HashSet::new();
+        for lvl in 0..MAX_LEVEL {
             let mut c = self.head.next[lvl].load(Ordering::Acquire);
             let mut prev: Option<K> = None;
             while !c.is_null() {
+                // SAFETY: arena-owned node; read lock excludes unlink.
                 let node = unsafe { &*c };
                 assert!(node.level > lvl, "node linked above its height");
                 if let Some(p) = prev {
                     assert!(p <= node.entry.key, "level-{lvl} order violated");
                 }
                 prev = Some(node.entry.key);
+                if lvl == 0 {
+                    level0.insert(c);
+                    live += usize::from(!node.deleted.load(Ordering::Relaxed));
+                } else {
+                    assert!(level0.contains(&c), "level-{lvl} node missing from level 0");
+                }
                 c = node.next[lvl].load(Ordering::Acquire);
             }
         }
+        assert_eq!(live, self.len(), "len counter drift");
     }
 }
 
@@ -342,6 +339,30 @@ mod tests {
         let node = unsafe { &*first };
         assert_eq!(node.entry.key, 50);
         assert!(!node.deleted.load(Ordering::Relaxed));
+        sl.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from level 0")]
+    fn invariants_catch_an_upper_node_cut_from_level_0() {
+        let sl = SkipList::<u32, ()>::new(1 << 20);
+        for k in 0..256u32 {
+            sl.insert(Entry::new(k, ()));
+        }
+        // Unlink the first level-1 node from level 0 only — the shape a
+        // top-down cleanup racing a spray claim used to leave behind.
+        let target = sl.head.next[1].load(Ordering::Acquire);
+        assert!(!target.is_null());
+        let mut pred: &Node<u32, ()> = &sl.head;
+        loop {
+            let next = pred.next[0].load(Ordering::Acquire);
+            if next == target {
+                let after = unsafe { &*target }.next[0].load(Ordering::Acquire);
+                pred.next[0].store(after, Ordering::Release);
+                break;
+            }
+            pred = unsafe { &*next };
+        }
         sl.check_invariants();
     }
 

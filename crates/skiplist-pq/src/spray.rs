@@ -198,6 +198,44 @@ mod tests {
         let _ = drained;
     }
 
+    /// Spray claims take no lock, so with a cleanup threshold of 1 they
+    /// race the batched unlink nearly every round; after each round of
+    /// concurrent sprays and inserts every level must still be a
+    /// sorted subset of level 0, and no key may be lost.
+    #[test]
+    fn invariants_hold_after_concurrent_spray_and_insert_rounds() {
+        let q = SprayListPq::<u32, u32>::new(4, 1);
+        let (inserted, taken) =
+            (std::sync::atomic::AtomicUsize::new(0), std::sync::atomic::AtomicUsize::new(0));
+        for round in 0..8u64 {
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let (q, inserted, taken) = (&q, &inserted, &taken);
+                    s.spawn(move || {
+                        use rand::rngs::StdRng;
+                        let mut rng = StdRng::seed_from_u64(round * 16 + t);
+                        for _ in 0..500 {
+                            if rng.gen_bool(0.55) {
+                                q.insert(rng.gen_range(0..1 << 16), 0);
+                                inserted.fetch_add(1, Ordering::Relaxed);
+                            } else if q.delete_min().is_some() {
+                                taken.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            q.list().check_invariants();
+        }
+        let mut drained = 0usize;
+        while q.delete_min().is_some() {
+            drained += 1;
+        }
+        q.list().check_invariants();
+        let (inserted, taken) = (inserted.into_inner(), taken.into_inner());
+        assert_eq!(taken + drained, inserted, "keys lost or duplicated");
+    }
+
     #[test]
     fn empty_returns_none() {
         let q = SprayListPq::<u32, ()>::new(4, 8);

@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bgpq::{Bgpq, BgpqOptions, CpuBgpq};
+use bgpq::{Bgpq, BgpqOptions, CpuBgpq, RADIX_STAGE_MIN};
 use bgpq_runtime::SimPlatform;
 use gpu_sim::{launch, GpuConfig};
 use pq_api::{BatchPriorityQueue, Entry};
@@ -64,6 +64,10 @@ fn end_gate() -> usize {
 }
 
 const K: usize = 64;
+/// Node capacity of the radix-staging gate: full batches at this `k`
+/// are staged by the radix kernel, which `K` never reaches.
+const K_RADIX: usize = 1024;
+const _: () = assert!(K < RADIX_STAGE_MIN && K_RADIX >= RADIX_STAGE_MIN);
 const STEADY_ITERS: usize = 100;
 
 /// Deterministic keys without touching `rand` (whose RNG setup could
@@ -80,9 +84,9 @@ impl XorShift {
 }
 
 /// One steady-state round: refresh the batch keys in place, then let
-/// the platform-specific closure insert a full node and delete it back
-/// out. Queue size is identical before and after, so the structure
-/// neither grows nor shrinks.
+/// the platform-specific closure insert a full node (`items.len()`
+/// keys) and delete it back out. Queue size is identical before and
+/// after, so the structure neither grows nor shrinks.
 fn round(
     rng: &mut XorShift,
     items: &mut [Entry<u32, u32>],
@@ -95,30 +99,31 @@ fn round(
     }
     out.clear();
     let got = ops(items, out);
-    assert_eq!(got, K, "steady-state round must drain what it inserted");
+    assert_eq!(got, items.len(), "steady-state round must drain what it inserted");
 }
 
-fn cpu_gate() {
-    let opts = BgpqOptions { node_capacity: K, max_nodes: 1 << 12, ..Default::default() };
+/// The CPU gate at node capacity `k`.
+fn cpu_gate(k: usize) {
+    let opts = BgpqOptions { node_capacity: k, max_nodes: 1 << 12, ..Default::default() };
     let q: CpuBgpq<u32, u32> = CpuBgpq::new(opts);
     let mut rng = XorShift(0x9E3779B97F4A7C15);
-    let mut items = vec![Entry::new(0u32, 0u32); K];
-    let mut out: Vec<Entry<u32, u32>> = Vec::with_capacity(K);
+    let mut items = vec![Entry::new(0u32, 0u32); k];
+    let mut out: Vec<Entry<u32, u32>> = Vec::with_capacity(k);
 
     // Warmup: grow the heap to a few levels, then run mixed rounds so
     // every code path (root absorb, heapify cascade, partial buffer)
     // has touched its scratch at this k.
     for _ in 0..32 {
         for e in items.iter_mut() {
-            let k = rng.next();
-            *e = Entry::new(k, k);
+            let key = rng.next();
+            *e = Entry::new(key, key);
         }
         q.insert_batch(&items);
     }
     for _ in 0..32 {
         round(&mut rng, &mut items, &mut out, |b, o| {
             q.insert_batch(b);
-            q.delete_min_batch(o, K)
+            q.delete_min_batch(o, k)
         });
     }
 
@@ -126,11 +131,11 @@ fn cpu_gate() {
     for _ in 0..STEADY_ITERS {
         round(&mut rng, &mut items, &mut out, |b, o| {
             q.insert_batch(b);
-            q.delete_min_batch(o, K)
+            q.delete_min_batch(o, k)
         });
     }
     let allocs = end_gate();
-    assert_eq!(allocs, 0, "CpuPlatform steady state hit the allocator {allocs} times");
+    assert_eq!(allocs, 0, "CpuPlatform steady state at k = {k} hit the allocator {allocs} times");
 }
 
 /// The CPU gate again over wide entries (`Entry<u32, u64>`, 16 bytes).
@@ -223,7 +228,8 @@ fn sim_gate() {
 /// test's measurement window would be a false positive.
 #[test]
 fn steady_state_ops_do_not_allocate() {
-    cpu_gate();
+    cpu_gate(K);
+    cpu_gate(K_RADIX);
     cpu_gate_wide();
     sim_gate();
 }
