@@ -33,13 +33,6 @@ pub enum QueueError {
         /// Human-readable diagnostic from the platform watchdog.
         detail: String,
     },
-    /// The front serving this call has already observed its backend
-    /// fail and is fast-failing new traffic instead of letting every
-    /// submitter rediscover the crash. Unlike [`QueueError::Poisoned`]
-    /// this is a *front* state, not a structural verdict: the backend
-    /// may be salvaged and the front may return to service, so callers
-    /// with slack should treat it as retryable-after-backoff.
-    Unavailable,
 }
 
 impl QueueError {
@@ -47,8 +40,6 @@ impl QueueError {
     ///
     /// * [`QueueError::LockTimeout`] — the holder may recover, or a
     ///   recovery pass may reset the queue; retry with backoff.
-    /// * [`QueueError::Unavailable`] — the front is fast-failing while
-    ///   its backend is down; a later probe may find it re-admitted.
     /// * [`QueueError::Full`] — backpressure, not failure; retryable
     ///   only if something is draining the queue (callers decide via
     ///   [`crate::RetryPolicy::retry_full`]).
@@ -56,7 +47,7 @@ impl QueueError {
     ///   queue; retrying the same handle cannot succeed until an
     ///   external salvage rebuilds it.
     pub fn retryable(&self) -> bool {
-        matches!(self, QueueError::LockTimeout { .. } | QueueError::Unavailable)
+        matches!(self, QueueError::LockTimeout { .. })
     }
 }
 
@@ -69,9 +60,6 @@ impl std::fmt::Display for QueueError {
             QueueError::Poisoned => write!(f, "queue poisoned by a crashed worker"),
             QueueError::LockTimeout { lock, detail } => {
                 write!(f, "watchdog timeout acquiring lock {lock}: {detail}")
-            }
-            QueueError::Unavailable => {
-                write!(f, "front unavailable: backend down, fast-failing until re-admission")
             }
         }
     }
@@ -92,20 +80,17 @@ mod tests {
         assert!(t.to_string().contains("lock 7"));
         assert!(t.to_string().contains("worker 3"));
         assert!(QueueError::Poisoned.to_string().contains("poisoned"));
-        assert!(QueueError::Unavailable.to_string().contains("unavailable"));
     }
 
     #[test]
     fn errors_compare_by_value() {
         assert_eq!(QueueError::Full { max_nodes: 8 }, QueueError::Full { max_nodes: 8 });
         assert_ne!(QueueError::Full { max_nodes: 8 }, QueueError::Poisoned);
-        assert_ne!(QueueError::Unavailable, QueueError::Poisoned);
     }
 
     #[test]
     fn retryable_classes() {
         assert!(QueueError::LockTimeout { lock: 0, detail: String::new() }.retryable());
-        assert!(QueueError::Unavailable.retryable());
         assert!(!QueueError::Poisoned.retryable());
         assert!(!QueueError::Full { max_nodes: 8 }.retryable());
     }

@@ -15,12 +15,11 @@
 //!   via [`ItemwiseBatch`].
 //! * [`OpStats`] — cheap atomic operation counters shared by all
 //!   implementations so the bench harness can report contention metrics.
-//! * [`QueueError`] — typed failures (`Full`, `Poisoned`, `LockTimeout`,
-//!   `Unavailable`) returned by the hardened `try_*` queue entry points.
+//! * [`QueueError`] — typed failures (`Full`, `Poisoned`, `LockTimeout`)
+//!   returned by the hardened `try_*` queue entry points.
 //! * [`RetryPolicy`] / [`Deadline`] / [`Retrying`] — bounded
 //!   retry-with-backoff for the transient error classes, so callers
-//!   ride out a lock-holder unwind or a front's recovery window
-//!   without hand-rolled loops.
+//!   ride out a lock-holder unwind without hand-rolled loops.
 //! * [`ScratchSlot`] — the type-keyed per-worker parking spot through
 //!   which queue implementations keep their hot-path scratch arenas
 //!   alive between operations (zero steady-state allocations).

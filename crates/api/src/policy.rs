@@ -1,9 +1,8 @@
 //! Retry policy and deadline plumbing for the hardened `try_*` API.
 //!
 //! PR 2 made failures *visible* (`Full`, `Poisoned`, `LockTimeout`);
-//! the recovery work makes some of them *transient* (`LockTimeout`
-//! while a watchdog-hit holder unwinds, [`QueueError::Unavailable`]
-//! while a front waits out a backend salvage). This module gives
+//! the recovery work makes one of them *transient* (`LockTimeout`
+//! while a watchdog-hit holder unwinds). This module gives
 //! callers one vetted answer to "what do I do with a transient error"
 //! instead of every call site growing its own ad-hoc loop:
 //!
@@ -70,11 +69,11 @@ impl Deadline {
 /// retrying at all.
 ///
 /// The default policy retries exactly the classes
-/// [`QueueError::retryable`] admits — `LockTimeout` and `Unavailable`
-/// — and fast-fails `Poisoned` (a structural verdict no retry can
-/// change) and `Full` (backpressure; only meaningful to retry when
-/// something else is draining the queue, so it is an explicit opt-in
-/// via [`RetryPolicy::retry_full`]).
+/// [`QueueError::retryable`] admits — `LockTimeout` — and fast-fails
+/// `Poisoned` (a structural verdict no retry can change) and `Full`
+/// (backpressure; only meaningful to retry when something else is
+/// draining the queue, so it is an explicit opt-in via
+/// [`RetryPolicy::retry_full`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (so `1` means "no retry").
@@ -185,7 +184,7 @@ impl RetryPolicy {
                 }
             }
         }
-        Err(last.unwrap_or(QueueError::Unavailable))
+        Err(last.expect("every attempt returned or recorded its error"))
     }
 }
 
@@ -419,10 +418,7 @@ mod tests {
 
     #[test]
     fn transient_errors_are_retried_to_success() {
-        let q = Retrying::new(
-            Scripted::new(vec![Err(timeout()), Err(QueueError::Unavailable), Ok(())]),
-            fast(),
-        );
+        let q = Retrying::new(Scripted::new(vec![Err(timeout()), Err(timeout()), Ok(())]), fast());
         assert_eq!(q.try_insert_batch(&[Entry::new(1, 1)]), Ok(()));
         assert_eq!(q.inner().calls(), 3);
     }

@@ -68,9 +68,9 @@ pub trait BatchPriorityQueue<K: KeyType, V: ValueType>: Send + Sync {
 /// [`BatchPriorityQueue`] operations — correct for implementations
 /// that cannot fail (the CPU baselines, [`ItemwiseBatch`]). Hardened
 /// queues (`CpuBgpq`, `CpuShardedBgpq`) override both methods with
-/// their real `try_*` paths, which is what lets generic fronts (the
-/// coalescing combiner) propagate `Full`/`Poisoned`/`LockTimeout` to
-/// blocked submitters instead of wedging them.
+/// their real `try_*` paths, which is what lets generic callers (the
+/// [`crate::Retrying`] wrapper, benchmark drivers) see
+/// `Full`/`Poisoned`/`LockTimeout` as values instead of panics.
 pub trait TryBatchPriorityQueue<K: KeyType, V: ValueType>: BatchPriorityQueue<K, V> {
     /// Insert `items` (1..=`batch_capacity()`), surfacing failures.
     /// On `Err` the batch was not inserted and the caller still owns

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Number of batch-occupancy histogram buckets in [`OpStats`]. Bucket
 /// `i` counts issued batches whose fill fraction `filled / capacity`
 /// fell in `(i/B, (i+1)/B]` — bucket 0 is near-empty batches (the
-/// single-op traffic the coalescing front exists to fix), bucket
+/// single-op traffic the buffered shard front exists to fix), bucket
 /// `B - 1` is full `k`-wide batches.
 pub const OCCUPANCY_BUCKETS: usize = 8;
 
@@ -93,9 +93,9 @@ pub struct OpStats {
     pub sticky_resamples: AtomicU64,
     /// Batch-occupancy histogram: how full each issued batch was
     /// relative to the capacity it could have used (see
-    /// [`occupancy_bucket`]). Every front that issues batches — the
-    /// heap itself, the shard router, the coalescing combiner —
-    /// records into the same shape so their reports merge.
+    /// [`occupancy_bucket`]). Every layer that issues batches — the
+    /// heap itself and the shard router — records into the same shape
+    /// so their reports merge.
     pub batch_occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
 }
 

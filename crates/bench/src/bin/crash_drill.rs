@@ -86,7 +86,7 @@ fn cpu_drill(args: &Args, point: InjectionPoint, nth: u64, action: FaultAction, 
                         match r {
                             Ok(_) | Err(QueueError::Full { .. }) => {}
                             Err(QueueError::Poisoned) => break,
-                            Err(QueueError::LockTimeout { .. }) | Err(QueueError::Unavailable) => {}
+                            Err(QueueError::LockTimeout { .. }) => {}
                         }
                     }
                 }));

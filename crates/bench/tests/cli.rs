@@ -4,9 +4,8 @@
 
 use std::process::Command;
 
-const BINS: [&str; 11] = [
+const BINS: [&str; 10] = [
     env!("CARGO_BIN_EXE_ablation"),
-    env!("CARGO_BIN_EXE_coalesce"),
     env!("CARGO_BIN_EXE_crash_drill"),
     env!("CARGO_BIN_EXE_fig6"),
     env!("CARGO_BIN_EXE_hotpath"),

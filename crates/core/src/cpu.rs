@@ -79,8 +79,8 @@ impl<K: KeyType, V: ValueType> BatchPriorityQueue<K, V> for CpuBgpq<K, V> {
 }
 
 /// Route the trait's fallible entry points to the real hardened paths
-/// so generic fronts (the coalescing combiner) see `Full` / `Poisoned`
-/// / `LockTimeout` as values instead of panics.
+/// so generic callers (the `Retrying` wrapper, benchmark drivers) see
+/// `Full` / `Poisoned` / `LockTimeout` as values instead of panics.
 impl<K: KeyType, V: ValueType> TryBatchPriorityQueue<K, V> for CpuBgpq<K, V> {
     fn try_insert_batch(&self, items: &[Entry<K, V>]) -> Result<(), QueueError> {
         CpuBgpq::try_insert_batch(self, items)

@@ -27,16 +27,6 @@ pub enum Mutation {
     /// Caught by the explorer's strict front-level accounting oracle
     /// (delivered + resident must equal acknowledged inserts).
     SweepDiscardsOnTrip,
-    /// Flat-combining delegation bug (honored by `bgpq-combine`'s
-    /// round issue): the combiner acknowledges a *delegated* insert —
-    /// one gathered from another thread's lane — as complete
-    /// (`Ok(None)`) without ever issuing it to the backend. Its own
-    /// inserts still go through, so every sequential schedule stays
-    /// clean; only a schedule where combining actually happens (one
-    /// thread serving another's request) loses a key, and because the
-    /// backend never sees the insert, only the explorer's front-level
-    /// accounting oracle can flag it.
-    CombinerDropsForeignInsert,
 }
 
 /// Configuration of a [`crate::Bgpq`] instance.

@@ -1,7 +1,7 @@
 //! Schedule-exploration CLI.
 //!
 //! ```text
-//! explore explore [--key-steal | --gen SEED] [--front shard|combine]
+//! explore explore [--key-steal | --gen SEED] [--front shard]
 //!                 [--k K] [--blocks B] [--ops N] [--mutate NAME]
 //!                 [--budget P] [--max-runs R] [--no-sleep-sets]
 //!                 [--random N] [--out FILE]
@@ -13,11 +13,10 @@
 //! partial-order reduction by default, unreduced with
 //! `--no-sleep-sets`, random walks with `--random N`) and, on a
 //! violation, shrinks the failing schedule and writes a replayable
-//! `.sched` artifact. `--front` swaps the single shared queue for the
-//! sharded-router or flat-combining workload; `--mutate NAME`
-//! re-introduces a named protocol bug (`marked-early-avail`,
-//! `sweep-discards-on-trip`, `combiner-drops-foreign`). Exit status: 0
-//! clean, 1 counterexample found, 2 usage/parse error.
+//! `.sched` artifact. `--front shard` swaps the single shared queue for
+//! the sharded-router workload; `--mutate NAME` re-introduces a named
+//! protocol bug (`marked-early-avail`, `sweep-discards-on-trip`). Exit
+//! status: 0 clean, 1 counterexample found, 2 usage/parse error.
 
 use bgpq_explore::{
     explore, install_quiet_panic_hook, parse_mutation, random_walks, replay, shrink, summary_line,
@@ -28,7 +27,7 @@ use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  explore explore [--key-steal | --gen SEED] [--front shard|combine]\n                  [--k K] [--blocks B] [--ops N] [--mutate NAME]\n                  [--budget P] [--max-runs R] [--no-sleep-sets] [--random N] [--out FILE]\n  explore replay FILE [--expect-violation]\n  explore shrink FILE [--out FILE]"
+        "usage:\n  explore explore [--key-steal | --gen SEED] [--front shard]\n                  [--k K] [--blocks B] [--ops N] [--mutate NAME]\n                  [--budget P] [--max-runs R] [--no-sleep-sets] [--random N] [--out FILE]\n  explore replay FILE [--expect-violation]\n  explore shrink FILE [--out FILE]"
     );
     ExitCode::from(2)
 }
@@ -56,8 +55,7 @@ fn build_spec(args: &Args) -> Result<WorkloadSpec, String> {
     let k: usize = args.opt("--k")?.unwrap_or(4);
     let mut spec = match args.opt::<String>("--front")?.as_deref() {
         Some("shard") => WorkloadSpec::sharded_mix(k),
-        Some("combine") => WorkloadSpec::combined_mix(k),
-        Some(other) => return Err(format!("unknown front `{other}` (shard|combine)")),
+        Some(other) => return Err(format!("unknown front `{other}` (shard)")),
         None => {
             if let Some(seed) = args.opt::<u64>("--gen")? {
                 let blocks = args.opt("--blocks")?.unwrap_or(3);

@@ -27,11 +27,10 @@
 //! ([`SchedFile`]) that the `explore` CLI's `replay` subcommand
 //! reproduces exactly.
 //!
-//! Beyond the single shared queue, specs can drive two *multi-queue
-//! fronts* under the same oracles ([`spec::FrontSpec`]): the
+//! Beyond the single shared queue, specs can drive the *multi-queue
+//! front* under the same oracles ([`spec::FrontSpec`]): the
 //! `bgpq-shard` router with its circuit breaker and salvage
-//! re-admission, and the `bgpq-combine` flat-combining front — both
-//! additionally checked by strict front-level accounting
+//! re-admission, additionally checked by strict front-level accounting
 //! ([`Violation::FrontAccounting`]).
 
 pub mod dfs;

@@ -10,13 +10,12 @@
 use crate::spec::{FrontSpec, WorkOp, WorkloadSpec};
 use bgpq::{check_collaboration, check_history, Bgpq, BgpqOptions};
 use bgpq::{HistoryEvent, HistoryOp, ProtocolEvent};
-use bgpq_combine::{CombineBackend, CombineShared, CombinerOptions, Op};
 use bgpq_recover::SalvageReport;
-use bgpq_runtime::{FaultAction, FaultPlan, Platform, SimPlatform};
+use bgpq_runtime::{FaultAction, FaultPlan, SimPlatform};
 use bgpq_shard::{RecoveryOptions, ShardedBgpq, ShardedOptions};
 use gpu_sim::sched::SimWorker;
 use gpu_sim::{launch, Decision, GpuConfig, ScheduleController, Scheduler};
-use pq_api::{Entry, QueueError};
+use pq_api::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, Once};
@@ -115,7 +114,6 @@ pub fn run_schedule(spec: &WorkloadSpec, ctrl: Arc<dyn ScheduleController>) -> R
     match spec.front {
         FrontSpec::Single => run_single(spec, ctrl),
         FrontSpec::Sharded { shards } => run_sharded(spec, ctrl, shards),
-        FrontSpec::Combined => run_combined(spec, ctrl),
     }
 }
 
@@ -391,191 +389,6 @@ fn classify_sharded(
     None
 }
 
-/// Combining backend for an explored agent: batched calls to the shared
-/// backing heap, virtual-time backoff for waiting, the agent id as the
-/// submission lane, and front-state access tags forwarded to the sim
-/// platform so the independence relation sees combiner traffic.
-struct ExploreBackend<'a> {
-    q: &'a Bgpq<u32, u32, SimPlatform>,
-    w: &'a mut SimWorker,
-    lane: usize,
-}
-
-impl CombineBackend<u32, u32> for ExploreBackend<'_> {
-    const CAN_PARK: bool = false;
-
-    fn batch_capacity(&self) -> usize {
-        self.q.node_capacity()
-    }
-
-    fn try_insert_batch(&mut self, items: &[Entry<u32, u32>]) -> Result<(), QueueError> {
-        self.q.try_insert(self.w, items)
-    }
-
-    fn try_delete_min_batch(
-        &mut self,
-        out: &mut Vec<Entry<u32, u32>>,
-        count: usize,
-    ) -> Result<usize, QueueError> {
-        self.q.try_delete_min(self.w, out, count)
-    }
-
-    fn relax(&mut self) {
-        self.q.platform().backoff(self.w);
-    }
-
-    fn touch_shared(&mut self, write: bool) {
-        self.q.platform().touch_shared(self.w, write);
-    }
-
-    fn lane(&self) -> usize {
-        self.lane
-    }
-}
-
-/// Run the scripts through a `bgpq-combine` front over one backing
-/// heap. Script ops are split into single-op submissions (the front's
-/// unit of work); the backing heap keeps its own linearization history,
-/// so this branch checks both heap-level linearizability *and*
-/// front-level accounting.
-fn run_combined(spec: &WorkloadSpec, ctrl: Arc<dyn ScheduleController>) -> RunOutcome {
-    type St = (Arc<Bgpq<u32, u32, SimPlatform>>, CombineShared<u32, u32>);
-    type Q = Arc<St>;
-    let cfg = GpuConfig::new(spec.blocks(), 32);
-    let opts = BgpqOptions {
-        node_capacity: spec.k,
-        max_nodes: spec.max_nodes,
-        use_collaboration: spec.use_collaboration,
-        mutation: spec.mutation,
-        ..Default::default()
-    };
-    let log = FrontLog::new();
-    let stash: Mutex<Option<(Q, Arc<Scheduler>)>> = Mutex::new(None);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        launch(
-            cfg,
-            |sched| {
-                sched.set_controller(Arc::clone(&ctrl));
-                let mut plat = SimPlatform::new(sched, opts.max_nodes + 1, cfg.cost, cfg.block_dim);
-                if !spec.faults.is_empty() {
-                    plat = plat.with_faults(Arc::new(FaultPlan::from_rules(&spec.faults)));
-                }
-                let q = Arc::new(Bgpq::with_platform(plat, opts).with_history());
-                let front = CombineShared::new(
-                    q.node_capacity(),
-                    CombinerOptions {
-                        rings: spec.blocks(),
-                        initial_window: 1,
-                        mutation: spec.mutation,
-                    },
-                );
-                let st: Q = Arc::new((q, front));
-                *stash.lock().unwrap() = Some((Arc::clone(&st), Arc::clone(sched)));
-                st
-            },
-            |ctx, st: &Q| {
-                let agent = ctx.block_id();
-                let mut backend = ExploreBackend { q: &st.0, w: ctx.worker(), lane: agent };
-                for op in &spec.scripts[agent] {
-                    match op {
-                        WorkOp::Insert(keys) => {
-                            for &k in keys {
-                                match st.1.submit(&mut backend, Op::Insert(Entry::new(k, k))) {
-                                    Ok(_) => log.record(HistoryOp::Insert { keys: vec![k] }),
-                                    Err(_) => return,
-                                }
-                            }
-                        }
-                        WorkOp::DeleteMin(n) => {
-                            for _ in 0..*n {
-                                match st.1.submit(&mut backend, Op::DeleteMin) {
-                                    Ok(got) => log.record(HistoryOp::DeleteMin {
-                                        requested: 1,
-                                        keys: got.iter().map(|e| e.key).collect(),
-                                    }),
-                                    Err(_) => return,
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    }));
-    let (st, sched) = stash.lock().unwrap().take().expect("setup closure always runs");
-    let decisions = sched.take_decisions();
-    let events = st.0.take_history();
-    let protocol = st.0.take_protocol();
-    let front_events = log.take();
-    let poisoned = st.0.is_poisoned() || st.1.is_poisoned();
-    let panic = result.err().map(|p| payload_str(p.as_ref()).to_string());
-    let complete = panic.is_none() && !poisoned;
-    let violation = classify_combined(
-        spec,
-        &st.0,
-        &events,
-        &front_events,
-        &protocol,
-        panic.as_deref(),
-        complete,
-    );
-    RunOutcome { decisions, events, protocol, poisoned, panic, violation }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn classify_combined(
-    spec: &WorkloadSpec,
-    q: &Bgpq<u32, u32, SimPlatform>,
-    heap_events: &[HistoryEvent<u32>],
-    front_events: &[HistoryEvent<u32>],
-    protocol: &[ProtocolEvent],
-    panic: Option<&str>,
-    complete: bool,
-) -> Option<Violation> {
-    if let Some(msg) = panic {
-        if msg.contains("deadlock") {
-            return Some(Violation::Deadlock(msg.to_string()));
-        }
-        let planned_crash = spec.faults.iter().any(|r| matches!(r.action, FaultAction::Panic));
-        let crash_shaped = msg.contains("injected fault") || msg.contains("aborting agent");
-        if !(planned_crash && crash_shaped) {
-            return Some(Violation::UnexpectedPanic(msg.to_string()));
-        }
-    }
-    if let Some(v) = check_history(heap_events) {
-        return Some(Violation::History(format!("seq {}: {}", v.seq, v.detail)));
-    }
-    if let Some(msg) = check_conservation(heap_events) {
-        return Some(Violation::Conservation(msg));
-    }
-    if let Some(msg) = check_front_conservation(front_events) {
-        return Some(Violation::FrontAccounting(msg));
-    }
-    if let Some(msg) = check_collaboration(protocol, complete) {
-        return Some(Violation::Collaboration(msg));
-    }
-    if complete {
-        // Strict front accounting: the heap must hold exactly what the
-        // front acknowledged accepting minus what it acknowledged
-        // delivering. An acked-but-never-executed request (the tenure
-        // handoff bug) leaves the heap short; front-level recording is
-        // the only oracle that can see it, because the heap's own
-        // history never contains the dropped operation at all.
-        let balance = front_balance(front_events);
-        if q.len() as i64 != balance {
-            return Some(Violation::FrontAccounting(format!(
-                "quiescent len {} != acknowledged balance {balance} \
-                 (acked-inserted minus acked-delivered)",
-                q.len()
-            )));
-        }
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| q.check_invariants())) {
-            return Some(Violation::Invariant(payload_str(p.as_ref()).to_string()));
-        }
-    }
-    None
-}
-
 fn classify(
     spec: &WorkloadSpec,
     q: &Bgpq<u32, u32, SimPlatform>,
@@ -678,16 +491,6 @@ mod tests {
         let again = run_schedule(&spec, Arc::new(PrefixStrategy { prefix: Vec::new() }));
         assert_eq!(out.decisions, again.decisions, "decision logs must be bit-identical");
         assert_eq!(out.events, again.events, "front logs must be bit-identical");
-    }
-
-    #[test]
-    fn default_schedule_of_combined_mix_is_clean_and_deterministic() {
-        let spec = WorkloadSpec::combined_mix(2);
-        let out = run_schedule(&spec, Arc::new(PrefixStrategy { prefix: Vec::new() }));
-        assert_eq!(out.violation, None, "{:?}", out.violation);
-        assert!(out.panic.is_none() && !out.poisoned);
-        let again = run_schedule(&spec, Arc::new(PrefixStrategy { prefix: Vec::new() }));
-        assert_eq!(out.decisions, again.decisions, "decision logs must be bit-identical");
     }
 
     #[test]

@@ -43,11 +43,9 @@ pub enum WorkOp {
 /// Which submission front the scripted agents drive.
 ///
 /// `Single` is the original subject: every agent calls one shared
-/// [`bgpq::Bgpq`] directly. The other two wrap that same heap in a
-/// cross-crate front so the explorer can model-check the *composition*:
-/// the shard router's circuit breaker + salvage re-admission
-/// (`bgpq-shard`) and the flat combiner's tenure handoff
-/// (`bgpq-combine`).
+/// [`bgpq::Bgpq`] directly. `Sharded` puts the `bgpq-shard` router in
+/// front of several such heaps so the explorer can model-check the
+/// *composition*: the router's circuit breaker + salvage re-admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontSpec {
     /// One shared queue, direct calls (the original subject).
@@ -56,8 +54,6 @@ pub enum FrontSpec {
     /// `bgpq-shard` router over `shards` independent heaps, with the
     /// circuit breaker and salvage re-admission armed.
     Sharded { shards: usize },
-    /// `bgpq-combine` flat-combining front over one backing heap.
-    Combined,
 }
 
 /// Everything about an exploration subject except the schedule.
@@ -165,28 +161,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// The canonical flat-combining workload: two agents submit
-    /// single-key operations through one `bgpq-combine` front over a
-    /// shared backing heap. Deliberately minimal — polling waiters make
-    /// every extra agent multiply the schedule tree through free
-    /// switches — yet two agents already cover combiner election,
-    /// request gathering, and the tenure-handoff window (one agent can
-    /// take the combiner lock exactly when the other's post-release
-    /// re-acquire fails).
-    pub fn combined_mix(k: usize) -> Self {
-        assert!(k >= 1, "combined mix needs k >= 1");
-        Self {
-            k,
-            max_nodes: 16,
-            use_collaboration: false,
-            mutation: Mutation::None,
-            scripts: vec![vec![WorkOp::Insert(vec![5])], vec![WorkOp::DeleteMin(1)]],
-            faults: Vec::new(),
-            front: FrontSpec::Combined,
-            fault_shard: None,
-        }
-    }
-
     /// A pseudo-random insert/delete mix: `blocks` agents, `ops`
     /// operations each, batch sizes in `1..=k`. Same seed ⇒ same spec.
     pub fn generated(seed: u64, blocks: usize, k: usize, ops: usize) -> Self {
@@ -266,7 +240,6 @@ pub fn mutation_name(m: Mutation) -> &'static str {
         Mutation::None => "none",
         Mutation::MarkedHandoffEarlyAvail => "marked-early-avail",
         Mutation::SweepDiscardsOnTrip => "sweep-discards-on-trip",
-        Mutation::CombinerDropsForeignInsert => "combiner-drops-foreign",
     }
 }
 
@@ -276,7 +249,6 @@ pub fn parse_mutation(s: &str) -> Result<Mutation, String> {
         "none" => Ok(Mutation::None),
         "marked-early-avail" => Ok(Mutation::MarkedHandoffEarlyAvail),
         "sweep-discards-on-trip" => Ok(Mutation::SweepDiscardsOnTrip),
-        "combiner-drops-foreign" => Ok(Mutation::CombinerDropsForeignInsert),
         other => Err(format!("unknown mutation `{other}`")),
     }
 }
@@ -310,7 +282,6 @@ impl fmt::Display for SchedFile {
         match self.spec.front {
             FrontSpec::Single => {}
             FrontSpec::Sharded { shards } => writeln!(f, "front shard {shards}")?,
-            FrontSpec::Combined => writeln!(f, "front combine")?,
         }
         if let Some(s) = self.spec.fault_shard {
             writeln!(f, "fault-shard {s}")?;
@@ -382,7 +353,6 @@ impl SchedFile {
                 "front" => {
                     front = match (toks.get(1).copied(), toks.get(2)) {
                         (Some("shard"), Some(n)) => FrontSpec::Sharded { shards: int(n)? as usize },
-                        (Some("combine"), None) => FrontSpec::Combined,
                         (Some("single"), None) => FrontSpec::Single,
                         _ => return Err(format!("bad front in `{line}`")),
                     }
@@ -487,16 +457,12 @@ mod tests {
 
     #[test]
     fn sched_file_roundtrips_multi_queue_fronts() {
-        for spec in [
-            WorkloadSpec::sharded_mix(2).with_mutation(Mutation::SweepDiscardsOnTrip),
-            WorkloadSpec::combined_mix(2).with_mutation(Mutation::CombinerDropsForeignInsert),
-        ] {
-            let file = SchedFile { spec, overrides: vec![(5, 2)] };
-            let text = file.to_string();
-            let parsed = SchedFile::parse(&text).expect("parses");
-            assert_eq!(parsed, file);
-            assert_eq!(parsed.to_string(), text);
-        }
+        let spec = WorkloadSpec::sharded_mix(2).with_mutation(Mutation::SweepDiscardsOnTrip);
+        let file = SchedFile { spec, overrides: vec![(5, 2)] };
+        let text = file.to_string();
+        let parsed = SchedFile::parse(&text).expect("parses");
+        assert_eq!(parsed, file);
+        assert_eq!(parsed.to_string(), text);
     }
 
     #[test]

@@ -69,9 +69,9 @@ fn thread_token() -> usize {
 
 /// Dense zero-based id of the calling thread, stable for the thread's
 /// lifetime and assigned in first-call order. The shard router uses it
-/// for shard affinity and the combiner front for submission-ring lanes;
-/// both want a small index suitable for `% n` striping, which
-/// [`std::thread::ThreadId`] does not provide.
+/// for shard affinity and buffer slots, which want a small index
+/// suitable for `% n` striping that [`std::thread::ThreadId`] does not
+/// provide.
 pub fn worker_id() -> usize {
     thread_token() - 1
 }

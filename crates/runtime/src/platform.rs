@@ -97,9 +97,9 @@ pub trait Platform: Send + Sync {
     fn touch_domain(&self, _w: &mut Self::Worker, _write: bool) {}
 
     /// Like [`Platform::touch`] for cross-queue coordination state
-    /// shared by a multi-queue front (router breakers and op counters,
-    /// combiner rings): conflicts with every other `touch_shared`, on
-    /// any platform, but not with per-queue traffic.
+    /// shared by a multi-queue front (router breakers and op counters):
+    /// conflicts with every other `touch_shared`, on any platform, but
+    /// not with per-queue traffic.
     fn touch_shared(&self, _w: &mut Self::Worker, _write: bool) {}
 
     /// Acquire `lock` with failure detection, when the platform has

@@ -22,8 +22,8 @@ thread_local! {
 
 /// Stable, dense id of the calling thread (0, 1, 2, … in first-use
 /// order, shared by every sharded queue in the process). Re-exported
-/// from the runtime's process-wide ticket so the shard router and the
-/// combiner front agree on thread identity.
+/// from the runtime's process-wide ticket so every sharded queue in the
+/// process agrees on thread identity.
 pub use bgpq_runtime::worker_id;
 
 /// Run `f` with this thread's sampling-RNG state (lazily seeded from
@@ -175,8 +175,8 @@ impl<K: KeyType, V: ValueType> BatchPriorityQueue<K, V> for CpuShardedBgpq<K, V>
 }
 
 /// Route the trait's fallible entry points to the sticky-affinity
-/// hardened paths so generic fronts (the coalescing combiner) observe
-/// backpressure and shard fail-over as typed errors.
+/// hardened paths so generic callers (the `Retrying` wrapper, benchmark
+/// drivers) observe backpressure and shard fail-over as typed errors.
 impl<K: KeyType, V: ValueType> TryBatchPriorityQueue<K, V> for CpuShardedBgpq<K, V> {
     fn try_insert_batch(&self, items: &[Entry<K, V>]) -> Result<(), pq_api::QueueError> {
         CpuShardedBgpq::try_insert_batch(self, items)

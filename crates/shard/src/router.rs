@@ -93,6 +93,7 @@ use bgpq_recover::SalvageReport;
 use bgpq_runtime::Platform;
 use pq_api::{BufferPolicy, Entry, KeyType, OpStats, QueueError, ValueType};
 use std::cmp::Reverse;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -277,6 +278,23 @@ impl<'a> InflightGuard<'a> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Drain-on-drop for a flush in progress: the stage prefix already
+/// handed to the shards leaves the stage even when a later chunk's
+/// insert unwinds (an injected panic, say), so a retried flush never
+/// inserts it twice.
+struct FlushedPrefix<'a, K: KeyType, V: ValueType> {
+    stage: &'a mut Vec<Entry<K, V>>,
+    parked: &'a AtomicU64,
+    done: usize,
+}
+
+impl<K: KeyType, V: ValueType> Drop for FlushedPrefix<'_, K, V> {
+    fn drop(&mut self) {
+        self.stage.drain(..self.done);
+        self.parked.fetch_sub(self.done as u64, Ordering::Relaxed);
     }
 }
 
@@ -1094,7 +1112,23 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         let slot = self.buffer_slot_for(worker);
         let mut b = self.lock_slot(slot);
         if b.ready.is_empty() {
-            self.refill_locked(w, slot, rng, &mut b, &policy)?;
+            // A wide refill is several shard batches; if a later one
+            // unwinds, the keys the earlier ones took out stay servable.
+            let refill = catch_unwind(AssertUnwindSafe(|| {
+                self.refill_locked(w, slot, rng, &mut b, &policy)
+            }));
+            match refill {
+                Ok(r) => {
+                    r?;
+                }
+                Err(p) => {
+                    let got = b.tmp.len();
+                    if got > 0 {
+                        self.commit_refill(&mut b, got, self.refill_width(&policy));
+                    }
+                    resume_unwind(p);
+                }
+            }
         }
         let n = count.min(b.ready.len());
         let at = b.ready.len() - n;
@@ -1121,8 +1155,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     ) -> Result<usize, QueueError> {
         debug_assert!(b.ready.is_empty());
         self.tick(w);
-        let k = self.node_capacity();
-        let width = if policy.refill_width == 0 { k } else { policy.refill_width };
+        let width = self.refill_width(policy);
         b.tmp.clear();
 
         // Sticky reuse: skip sampling while the latched shard has
@@ -1184,6 +1217,16 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
     }
 
+    /// Keys one refill asks the shards for (`k` when the policy leaves
+    /// it at 0).
+    fn refill_width(&self, policy: &BufferPolicy) -> usize {
+        if policy.refill_width == 0 {
+            self.node_capacity()
+        } else {
+            policy.refill_width
+        }
+    }
+
     /// Account one shard-sourced refill and move `b.tmp` into
     /// `b.ready` (descending, so pops serve ascending). Sorting rather
     /// than reversing: a refill wider than `k` is several linearized
@@ -1225,8 +1268,9 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     }
 
     /// Flush the staged inserts of `b` to the shards in `k`-wide
-    /// chunks. On `Err` the *unflushed* keys remain staged (the flushed
-    /// prefix is committed) — a failed flush never loses keys. Keys
+    /// chunks. On `Err` or an unwind the *unflushed* keys remain staged
+    /// (the flushed prefix is committed and leaves the stage) — a failed
+    /// flush never loses or duplicates keys. Keys
     /// whose home shard is quarantined re-route through
     /// [`Self::try_insert`]'s redistribution and are counted in
     /// [`QualitySnapshot::buffer_reroutes`].
@@ -1245,19 +1289,20 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
         let k = self.node_capacity();
         let cap = self.buffer_policy.map_or(k, |p| p.insert_capacity);
-        let mut done = 0;
+        let mut flushed =
+            FlushedPrefix { stage: &mut b.stage, parked: &self.buffered_keys, done: 0 };
         let r = loop {
-            if done >= total {
+            if flushed.done >= total {
                 break Ok(());
             }
-            let end = (done + k).min(total);
-            match self.try_insert(w, slot, &b.stage[done..end]) {
-                Ok(()) => done = end,
+            let end = (flushed.done + k).min(total);
+            match self.try_insert(w, slot, &flushed.stage[flushed.done..end]) {
+                Ok(()) => flushed.done = end,
                 Err(e) => break Err(e),
             }
         };
-        b.stage.drain(..done);
-        self.buffered_keys.fetch_sub(done as u64, Ordering::Relaxed);
+        let done = flushed.done;
+        drop(flushed);
         if done > 0 {
             OpStats::bump(&self.front_stats.buffer_flushes);
             OpStats::add(&self.front_stats.buffer_flush_items, done as u64);

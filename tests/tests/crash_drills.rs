@@ -93,16 +93,14 @@ fn cpu_drill(point: InjectionPoint, nth: u64, action: FaultAction) {
                             ]) {
                                 Ok(()) | Err(QueueError::Full { .. }) => {}
                                 Err(QueueError::Poisoned) => break,
-                                Err(QueueError::LockTimeout { .. })
-                                | Err(QueueError::Unavailable) => {}
+                                Err(QueueError::LockTimeout { .. }) => {}
                             }
                         } else {
                             out.clear();
                             match q.try_delete_min_batch(&mut out, 4) {
                                 Ok(_) | Err(QueueError::Full { .. }) => {}
                                 Err(QueueError::Poisoned) => break,
-                                Err(QueueError::LockTimeout { .. })
-                                | Err(QueueError::Unavailable) => {}
+                                Err(QueueError::LockTimeout { .. }) => {}
                             }
                         }
                     }

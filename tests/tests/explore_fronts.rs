@@ -1,5 +1,5 @@
 //! Sleep-set partial-order reduction + multi-queue front exploration
-//! (bgpq-explore over bgpq-shard and bgpq-combine).
+//! (bgpq-explore over bgpq-shard).
 //!
 //! Three claims are on trial here:
 //!
@@ -7,11 +7,10 @@
 //!    preemption bound are a heuristic (DESIGN §5.1): the reduced DFS
 //!    must reach the *same oracle verdict* as the unreduced DFS on
 //!    every single-queue spec while exploring no more runs.
-//! 2. **Cross-front falsification.** The sharded router and the
-//!    flat-combining front run under the same oracles, and a
-//!    deliberately re-introduced bug in each front is caught at a
-//!    minimal preemption budget, shrunk to a tiny `.sched`, and
-//!    replayed bit-for-bit.
+//! 2. **Cross-front falsification.** The sharded router runs under the
+//!    same oracles, and a deliberately re-introduced bug in it is
+//!    caught at a minimal preemption budget, shrunk to a tiny
+//!    `.sched`, and replayed bit-for-bit.
 //! 3. **Shrinking is a function.** Greedy override deletion is
 //!    deterministic and idempotent, proptested across random
 //!    inflations of known-failing schedules.
@@ -119,17 +118,7 @@ fn sharded_front_is_clean_at_budget_one() {
     assert!(report.runs > 1 && report.pruned > 0);
 }
 
-/// The flat-combining front explores exhaustively clean at budget 2
-/// (the budget its mutation needs — see below).
-#[test]
-fn combined_front_is_clean_at_budget_two() {
-    let report = run(&WorkloadSpec::combined_mix(2), 2, true);
-    assert!(report.exhausted);
-    assert!(report.counterexample.is_none(), "{:?}", report.counterexample);
-    assert!(report.runs > 1);
-}
-
-/// Shared falsification-loop body for the two front mutations: clean
+/// Falsification-loop body for a front mutation: clean
 /// below the minimal budget, caught at it with a front-accounting
 /// violation, shrunk to `max_overrides` or fewer, serialized,
 /// re-parsed, replayed bit-for-bit, and clean again once the mutation
@@ -189,22 +178,8 @@ fn sharded_sweep_mutation_caught_at_budget_one() {
     assert_front_mutation_caught(WorkloadSpec::sharded_mix(2), Mutation::SweepDiscardsOnTrip, 1, 2);
 }
 
-/// Combiner delegation bug: the combiner acks a *foreign* insert
-/// without issuing it, so the key exists only in front-level
-/// accounting. Budgets 0–1 cannot produce a cross-thread combining
-/// round; budget 2 catches it and shrinks to two overrides.
-#[test]
-fn combiner_foreign_insert_mutation_caught_at_budget_two() {
-    assert_front_mutation_caught(
-        WorkloadSpec::combined_mix(2),
-        Mutation::CombinerDropsForeignInsert,
-        2,
-        2,
-    );
-}
-
 /// Known-failing (spec, counterexample) bases for the shrinking
-/// properties below, computed once: the three mutations caught by the
+/// properties below, computed once: the two mutations caught by the
 /// explorer at their minimal budgets.
 fn failing_bases() -> &'static Vec<(WorkloadSpec, Counterexample)> {
     static BASES: OnceLock<Vec<(WorkloadSpec, Counterexample)>> = OnceLock::new();
@@ -212,7 +187,6 @@ fn failing_bases() -> &'static Vec<(WorkloadSpec, Counterexample)> {
         install_quiet_panic_hook();
         let cases = [
             (WorkloadSpec::sharded_mix(2).with_mutation(Mutation::SweepDiscardsOnTrip), 1),
-            (WorkloadSpec::combined_mix(2).with_mutation(Mutation::CombinerDropsForeignInsert), 2),
             (WorkloadSpec::key_steal_mix(4).with_mutation(Mutation::MarkedHandoffEarlyAvail), 2),
         ];
         cases
@@ -235,7 +209,7 @@ proptest! {
     /// fixed point no larger than the input.
     #[test]
     fn shrinking_is_deterministic_and_idempotent(
-        base in 0usize..3,
+        base in 0usize..2,
         extra in proptest::collection::vec((0u64..40, 0usize..3), 0..6),
     ) {
         let (spec, ce) = &failing_bases()[base];

@@ -90,11 +90,7 @@ fn soak_fault_schedule_survives_and_linearizes() {
                             match r {
                                 Ok(_) | Err(QueueError::Full { .. }) => {}
                                 Err(QueueError::Poisoned) => break,
-                                // A bare heap never trips Unavailable
-                                // (that's the fronts' breaker verdict),
-                                // but the match must stay exhaustive.
-                                Err(QueueError::LockTimeout { .. })
-                                | Err(QueueError::Unavailable) => {}
+                                Err(QueueError::LockTimeout { .. }) => {}
                             }
                         }
                     }));
