@@ -38,7 +38,7 @@ pub mod stats;
 pub use entry::Entry;
 pub use error::QueueError;
 pub use key::{KeyType, ValueType};
-pub use policy::{BufferPolicy, Deadline, RetryPolicy, Retrying};
+pub use policy::{Deadline, RetryPolicy, Retrying};
 pub use pq::{
     BatchPriorityQueue, ItemwiseBatch, PriorityQueue, QueueFactory, TryBatchPriorityQueue,
 };

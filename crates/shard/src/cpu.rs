@@ -49,15 +49,15 @@ fn with_thread_rng<R>(f: impl FnOnce(&mut u64) -> R) -> R {
 ///
 /// With [`ShardedOptions::buffer`] set the front runs in buffered mode:
 /// every insert stages into (and every delete serves from) the calling
-/// thread's buffer slot, flushed/refilled in wide batches — see the
-/// router's module docs. Threads that stop producing should call
+/// thread's buffer slot, flushed/refilled in wide batches (the router's
+/// `buffered_*` entry points, which fall through to the plain front
+/// when unbuffered). Threads that stop producing should call
 /// [`CpuShardedBgpq::flush`] (or the queue's owner
 /// [`CpuShardedBgpq::quiesce_all`]) to push their staged keys down;
 /// until then the keys stay *visible* ([`CpuShardedBgpq::len`], drains
 /// and exact-emptiness sweeps all observe them) but not yet in a shard.
 pub struct CpuShardedBgpq<K: KeyType, V: ValueType> {
     inner: ShardedBgpq<K, V, CpuPlatform>,
-    buffered: bool,
 }
 
 impl<K: KeyType, V: ValueType> CpuShardedBgpq<K, V> {
@@ -69,13 +69,12 @@ impl<K: KeyType, V: ValueType> CpuShardedBgpq<K, V> {
         // so when recovery is requested the breaker gets the real
         // salvager; without it `recovery` would silently mean
         // "permanent quarantine after all".
-        let buffered = opts.buffer.is_some();
         let inner = if opts.recovery.is_some() {
             ShardedBgpq::with_platforms_recovering(platforms, opts, bgpq_recover::salvage_heap)
         } else {
             ShardedBgpq::with_platforms(platforms, opts)
         };
-        Self { inner, buffered }
+        Self { inner }
     }
 
     /// The underlying generic router (quality stats, per-shard access).
@@ -83,22 +82,11 @@ impl<K: KeyType, V: ValueType> CpuShardedBgpq<K, V> {
         &self.inner
     }
 
-    /// Whether the buffered operating mode is on.
-    pub fn buffered(&self) -> bool {
-        self.buffered
-    }
-
     /// Non-panicking insert with sticky affinity: backpressure and
     /// shard fail-over surface as [`pq_api::QueueError`] values. In
     /// buffered mode the batch stages in this thread's slot.
     pub fn try_insert_batch(&self, items: &[Entry<K, V>]) -> Result<(), pq_api::QueueError> {
-        with_thread_worker(|w| {
-            if self.buffered {
-                self.inner.buffered_try_insert(w, worker_id(), items)
-            } else {
-                self.inner.try_insert(w, worker_id(), items)
-            }
-        })
+        with_thread_worker(|w| self.inner.buffered_try_insert(w, worker_id(), items))
     }
 
     /// Non-panicking relaxed delete: `Ok(0)` means every live shard was
@@ -113,11 +101,7 @@ impl<K: KeyType, V: ValueType> CpuShardedBgpq<K, V> {
     ) -> Result<usize, pq_api::QueueError> {
         with_thread_worker(|w| {
             with_thread_rng(|rng| {
-                if self.buffered {
-                    self.inner.buffered_try_delete_min(w, worker_id(), rng, out, count)
-                } else {
-                    self.inner.try_delete_min(w, rng, out, count)
-                }
+                self.inner.buffered_try_delete_min(w, worker_id(), rng, out, count)
             })
         })
     }
@@ -152,21 +136,12 @@ impl<K: KeyType, V: ValueType> BatchPriorityQueue<K, V> for CpuShardedBgpq<K, V>
     }
 
     fn insert_batch(&self, items: &[Entry<K, V>]) {
-        if self.buffered {
-            self.try_insert_batch(items)
-                .unwrap_or_else(|e| panic!("sharded BGPQ insert failed: {e}"));
-        } else {
-            with_thread_worker(|w| self.inner.insert(w, worker_id(), items));
-        }
+        self.try_insert_batch(items).unwrap_or_else(|e| panic!("sharded BGPQ insert failed: {e}"));
     }
 
     fn delete_min_batch(&self, out: &mut Vec<Entry<K, V>>, count: usize) -> usize {
-        if self.buffered {
-            self.try_delete_min_batch(out, count)
-                .unwrap_or_else(|e| panic!("sharded BGPQ delete_min failed: {e}"))
-        } else {
-            with_thread_worker(|w| with_thread_rng(|rng| self.inner.delete_min(w, rng, out, count)))
-        }
+        self.try_delete_min_batch(out, count)
+            .unwrap_or_else(|e| panic!("sharded BGPQ delete_min failed: {e}"))
     }
 
     fn len(&self) -> usize {
@@ -218,30 +193,12 @@ pub struct ShardedBgpqFactory {
     pub sample: usize,
     /// Per-shard node capacity `k`.
     pub node_capacity: usize,
-    /// Per-worker buffering (`None` = classic unbuffered front).
-    pub buffer: Option<pq_api::BufferPolicy>,
     name: String,
 }
 
 impl ShardedBgpqFactory {
     pub fn new(shards: usize, sample: usize, node_capacity: usize) -> Self {
-        Self {
-            shards,
-            sample,
-            node_capacity,
-            buffer: None,
-            name: format!("BGPQ-shard/S{shards}c{sample}"),
-        }
-    }
-
-    /// Build queues with the buffered sticky front enabled.
-    pub fn with_buffering(mut self, policy: pq_api::BufferPolicy) -> Self {
-        self.name = format!(
-            "BGPQ-shard/S{}c{}+buf{}s{}",
-            self.shards, self.sample, policy.insert_capacity, policy.stickiness
-        );
-        self.buffer = Some(policy);
-        self
+        Self { shards, sample, node_capacity, name: format!("BGPQ-shard/S{shards}c{sample}") }
     }
 }
 
@@ -259,16 +216,12 @@ impl<K: KeyType, V: ValueType> QueueFactory<K, V> for ShardedBgpqFactory {
     }
 
     fn build(&self, capacity_hint: usize) -> CpuShardedBgpq<K, V> {
-        let mut opts = ShardedOptions::with_capacity_for(
+        CpuShardedBgpq::new(ShardedOptions::with_capacity_for(
             self.shards,
             self.sample,
             self.node_capacity,
             capacity_hint.max(1),
-        );
-        if let Some(policy) = self.buffer {
-            opts = opts.with_buffering(policy);
-        }
-        CpuShardedBgpq::new(opts)
+        ))
     }
 }
 
@@ -344,7 +297,7 @@ mod tests {
 
     #[test]
     fn buffered_concurrent_roundtrip_conserves_multiset() {
-        let policy = pq_api::BufferPolicy::new()
+        let policy = crate::BufferPolicy::new()
             .with_insert_capacity(16)
             .with_refill_width(16)
             .with_stickiness(4);
@@ -356,7 +309,7 @@ mod tests {
             )
             .with_buffering(policy),
         ));
-        assert!(q.buffered());
+        assert!(q.inner().buffered());
         let popped: Vec<Vec<u32>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
@@ -413,21 +366,6 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(q.delete_min_batch(&mut out, 1), 1);
         assert_eq!(out[0].key, 42);
-
-        let fb = ShardedBgpqFactory::new(3, 2, 16)
-            .with_buffering(pq_api::BufferPolicy::new().with_insert_capacity(8).with_stickiness(2));
-        assert_eq!(
-            <ShardedBgpqFactory as QueueFactory<u32, ()>>::name(&fb),
-            "BGPQ-shard/S3c2+buf8s2"
-        );
-        let q: CpuShardedBgpq<u32, ()> = fb.build(10_000);
-        assert!(q.buffered());
-        q.insert_batch(&[Entry::new(7u32, ())]);
-        assert_eq!(q.len(), 1, "staged key is visible");
-        out.clear();
-        assert_eq!(q.delete_min_batch(&mut out, 1), 1);
-        assert_eq!(out[0].key, 7);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   so the relaxation is measured, not assumed. With exact hints at
 //!   quiescence the rank error of a delete is bounded by `S - c`.
 //! * **Buffered mode** — with [`ShardedOptions::buffer`] set
-//!   ([`pq_api::BufferPolicy`]), each worker stages inserts in a
+//!   ([`BufferPolicy`]), each worker stages inserts in a
 //!   bounded per-slot buffer (flushed as k-wide batches) and serves
 //!   deletes from a local deletion buffer refilled by one wide
 //!   `delete_min` from a sticky sampled shard — the "Engineering
@@ -44,9 +44,7 @@ pub mod cpu;
 pub mod quality;
 pub mod router;
 
+pub use buffer::BufferPolicy;
 pub use cpu::{worker_id, CpuShardedBgpq, ShardedBgpqFactory};
-pub use pq_api::BufferPolicy;
 pub use quality::{QualitySnapshot, QualityStats};
-pub use router::{
-    BreakerState, RecoveryOptions, Salvager, ShardedBgpq, ShardedOptions, DEFAULT_BUFFER_SLOTS,
-};
+pub use router::{BreakerState, RecoveryOptions, Salvager, ShardedBgpq, ShardedOptions};

@@ -46,56 +46,24 @@
 //! not recover is counted in [`QualitySnapshot::keys_lost`] — loss is
 //! never silent.
 //!
-//! ## Buffered mode: sticky batching
+//! ## Buffered mode
 //!
-//! With [`ShardedOptions::buffer`] set, the router adds a *buffered*
-//! operating mode in the style of "Engineering MultiQueues" (Williams &
-//! Sanders): each worker hashes to a buffer slot holding
-//!
-//! * an **insertion buffer** — up to `B` staged inserts, flushed to the
-//!   home shard as `k`-wide batches when full, on demand
-//!   ([`ShardedBgpq::flush_slot`]), or on quiesce;
-//! * a **deletion buffer** — restocked by one `k`-wide (or wider, see
-//!   [`pq_api::BufferPolicy::refill_width`]) sampled delete-min and then
-//!   served locally with no shared-memory traffic at all;
-//! * a **sticky shard** — the shard picked by the last fresh `c`-of-`S`
-//!   sample serves up to `σ` consecutive refills before the front
-//!   re-samples, trading bounded extra rank error for `σ×` fewer hint
-//!   scans and sampled probes.
-//!
-//! Buffered keys stay *owned by the router*: [`ShardedBgpq::len`] counts
-//! them, exact-emptiness deletes drain the caller's own stage and then
-//! harvest every other reachable slot before reporting `Ok(0)`, and
-//! [`ShardedBgpq::drain`] empties every slot. A flush whose home shard
-//! was quarantined re-routes through the ordinary redistribution path
-//! and the re-routed keys are counted in
-//! [`QualitySnapshot::buffer_reroutes`] — buffered inserts are never
-//! silently dropped by a breaker trip.
-//!
-//! **Rank-error bound (quiescent, exact hints).** An unbuffered sampled
-//! delete skips at most `S − c` shards. Buffered pops add two windows:
-//! a pop served from position `j > 1` of a refill batch can additionally
-//! be beaten by any shard whose minimum arrived after the refill was
-//! sampled, and a sticky refill skips the sample entirely — so a single
-//! buffered pop's shard-level rank error is bounded by `S − 1` (every
-//! shard except the serving one; the serving shard's remaining keys are
-//! all ≥ the buffered batch by construction). `B` and `σ` control how
-//! *often* the worst case can occur, not its magnitude: between two
-//! fresh samples at most `σ · max(refill_width, k)` pops are served from
-//! sticky or buffered state.
+//! With [`ShardedOptions::buffer`] set, single ops stage in and serve
+//! from per-worker buffers that the router flushes and refills in whole
+//! `k`-batches (`ShardedBgpq::buffered_*`). The buffered state, its
+//! rank-error bound and its lock discipline are documented in
+//! `buffer.rs`; this module keeps the shard calls.
 
-use crate::buffer::WorkerBuffers;
+use crate::buffer::{BufferPolicy, Buffers, WorkerBuffers, BUFFER_SLOTS};
 use crate::quality::{QualitySnapshot, QualityStats};
 #[cfg(any(test, feature = "mutations"))]
 use bgpq::Mutation;
 use bgpq::{Bgpq, BgpqOptions};
 use bgpq_recover::SalvageReport;
 use bgpq_runtime::Platform;
-use pq_api::{BufferPolicy, Entry, KeyType, OpStats, QueueError, ValueType};
-use std::cmp::Reverse;
+use pq_api::{Entry, KeyType, OpStats, QueueError, ValueType};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Configuration of a [`ShardedBgpq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,28 +85,14 @@ pub struct ShardedOptions {
     pub recovery: Option<RecoveryOptions>,
     /// Buffered operating mode (per-worker insert/delete buffers with
     /// sticky shard selection — see the module docs). `None` (the
-    /// default) keeps the original unbuffered front; the buffered entry
-    /// points panic on misuse when buffering is off.
+    /// default) keeps the unbuffered front, and the buffered entry
+    /// points fall through to it.
     pub buffer: Option<BufferPolicy>,
-    /// Number of per-worker buffer slots when `buffer` is set (workers
-    /// hash to `worker % buffer_slots`; more slots mean less slot
-    /// sharing, at a few empty `Vec`s of memory each).
-    pub buffer_slots: usize,
 }
-
-/// Default number of buffer slots in buffered mode.
-pub const DEFAULT_BUFFER_SLOTS: usize = 64;
 
 impl ShardedOptions {
     pub fn new(shards: usize, sample: usize, queue: BgpqOptions) -> Self {
-        Self {
-            shards,
-            sample,
-            queue,
-            recovery: None,
-            buffer: None,
-            buffer_slots: DEFAULT_BUFFER_SLOTS,
-        }
+        Self { shards, sample, queue, recovery: None, buffer: None }
     }
 
     /// Enable circuit-breaker recovery with the given policy.
@@ -150,12 +104,6 @@ impl ShardedOptions {
     /// Enable the buffered operating mode with the given policy.
     pub fn with_buffering(mut self, buffer: BufferPolicy) -> Self {
         self.buffer = Some(buffer);
-        self
-    }
-
-    /// Override the number of buffer slots (buffered mode only).
-    pub fn with_buffer_slots(mut self, slots: usize) -> Self {
-        self.buffer_slots = slots;
         self
     }
 
@@ -173,7 +121,6 @@ impl ShardedOptions {
         assert!(self.sample >= 1, "must sample at least one shard");
         if let Some(b) = &self.buffer {
             b.validate();
-            assert!(self.buffer_slots >= 1, "buffered mode needs at least one buffer slot");
         }
         self.queue.validate();
     }
@@ -281,23 +228,6 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Drain-on-drop for a flush in progress: the stage prefix already
-/// handed to the shards leaves the stage even when a later chunk's
-/// insert unwinds (an injected panic, say), so a retried flush never
-/// inserts it twice.
-struct FlushedPrefix<'a, K: KeyType, V: ValueType> {
-    stage: &'a mut Vec<Entry<K, V>>,
-    parked: &'a AtomicU64,
-    done: usize,
-}
-
-impl<K: KeyType, V: ValueType> Drop for FlushedPrefix<'_, K, V> {
-    fn drop(&mut self) {
-        self.stage.drain(..self.done);
-        self.parked.fetch_sub(self.done as u64, Ordering::Relaxed);
-    }
-}
-
 /// Platform capability hook: salvage one crashed heap (reset abandoned
 /// locks, walk settled keys into the vec, reset to empty) and report
 /// the accounting. On the CPU platform this is
@@ -372,18 +302,9 @@ pub struct ShardedBgpq<K: KeyType, V: ValueType, P: Platform> {
     /// Number of breakers currently Open (fast path guard: zero means
     /// the per-op recovery scan is skipped entirely).
     open_shards: AtomicU64,
-    /// Buffered-mode policy; `None` leaves `buffers` empty and the
-    /// buffered entry points panicking on misuse.
-    buffer_policy: Option<BufferPolicy>,
-    /// Per-worker buffer slots (empty when unbuffered). Slot owners
-    /// lock blocking; foreign access (harvest, drain) is `try_lock`
-    /// only and never calls into a platform or shard while holding a
-    /// foreign slot — see `crate::buffer` for the lock discipline.
-    buffers: Box<[Mutex<WorkerBuffers<K, V>>]>,
-    /// Keys currently parked across all buffer slots ([`Self::len`]
-    /// counts them; updated only after a successful buffer mutation, so
-    /// a panicking shard op cannot strand the count).
-    buffered_keys: AtomicU64,
+    /// Buffered-mode state (policy, per-worker slots, parked-key
+    /// count); `None` when unbuffered.
+    buffers: Option<Buffers<K, V>>,
     /// Front-level counters for the buffered mode (flushes, refills,
     /// stickiness; shard-level traffic keeps landing in the per-shard
     /// [`OpStats`] as before).
@@ -428,8 +349,6 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         let shards: Vec<Bgpq<K, V, P>> =
             platforms.into_iter().map(|p| Bgpq::with_platform(p, opts.queue)).collect();
         let breakers = (0..opts.shards).map(|_| Breaker::new()).collect();
-        let slots = if opts.buffer.is_some() { opts.buffer_slots } else { 0 };
-        let buffers = (0..slots).map(|_| Mutex::new(WorkerBuffers::default())).collect();
         Self {
             shards: shards.into_boxed_slice(),
             sample: opts.sample.clamp(1, opts.shards),
@@ -439,9 +358,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             salvager,
             ops: AtomicU64::new(0),
             open_shards: AtomicU64::new(0),
-            buffer_policy: opts.buffer,
-            buffers,
-            buffered_keys: AtomicU64::new(0),
+            buffers: opts.buffer.map(|p| Buffers::new(p, opts.queue.node_capacity)),
             front_stats: OpStats::new(),
             #[cfg(any(test, feature = "mutations"))]
             mutation: opts.queue.mutation,
@@ -662,28 +579,22 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// shard's count is unreliable (it crashed mid-flight) and its keys
     /// are unreachable, so it is excluded.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.is_quarantined(i))
-            .map(|(_, s)| s.len())
-            .sum::<usize>()
-            + self.buffered_len()
+        self.live_shards().map(Bgpq::len).sum::<usize>() + self.buffered_len()
+    }
+
+    /// The shards not quarantined.
+    fn live_shards(&self) -> impl Iterator<Item = &Bgpq<K, V, P>> {
+        self.shards.iter().enumerate().filter(|&(i, _)| !self.is_quarantined(i)).map(|(_, s)| s)
     }
 
     /// Keys currently parked in worker buffers (0 when unbuffered).
     pub fn buffered_len(&self) -> usize {
-        self.buffered_keys.load(Ordering::Relaxed) as usize
+        self.buffers.as_ref().map_or(0, Buffers::len)
     }
 
     /// Whether the buffered operating mode is on.
     pub fn buffered(&self) -> bool {
-        self.buffer_policy.is_some()
-    }
-
-    /// Number of per-worker buffer slots (0 when unbuffered).
-    pub fn buffer_slots(&self) -> usize {
-        self.buffers.len()
+        self.buffers.is_some()
     }
 
     /// Front-level counters for the buffered mode (flush / refill /
@@ -835,21 +746,35 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         self.shards[0].platform().scratch_slot(w)
     }
 
-    /// A shard delete under an in-flight token, so a later salvage
-    /// probe can wait this operation out (the token releases on panic
-    /// too — see [`InflightGuard`]). Routed through the heap's
-    /// partial-batch entry point, so `count` may exceed the node width
-    /// `k` (buffered refills wider than one node).
-    #[inline]
-    fn guarded_delete(
+    /// Visit shard `i` once: one delete under an in-flight token (so a
+    /// later salvage probe can wait this operation out — the token
+    /// releases on panic too, see [`InflightGuard`]) plus its breaker
+    /// bookkeeping. Keys taken and a clean miss both count as a success;
+    /// an error quarantines the shard and yields `None`. Routed through
+    /// the heap's partial-batch entry point, so `count` may exceed the
+    /// node width `k` (buffered refills wider than one node).
+    fn visit(
         &self,
         i: usize,
         w: &mut P::Worker,
         out: &mut Vec<Entry<K, V>>,
         count: usize,
-    ) -> Result<usize, QueueError> {
-        let _g = InflightGuard::enter(&self.breakers[i].inflight);
-        self.shards[i].try_delete_up_to(w, out, count)
+    ) -> Option<usize> {
+        let r = {
+            let _g = InflightGuard::enter(&self.breakers[i].inflight);
+            self.shards[i].try_delete_up_to(w, out, count)
+        };
+        match r {
+            Ok(got) => {
+                self.note_success(i);
+                Some(got)
+            }
+            Err(_) => {
+                self.touch_front(w, true);
+                self.quarantine(i);
+                None
+            }
+        }
     }
 
     /// The sampled/steal/sweep machinery behind [`Self::try_delete_min`].
@@ -866,7 +791,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         let s = self.shards.len();
         let start = out.len();
         // Breaker-trip snapshot for the SweepDiscardsOnTrip mutation:
-        // the mutated sweep compares against this to "notice" a trip
+        // the mutated loop compares against this to "notice" a trip
         // that happened while the delete was in flight.
         #[cfg(any(test, feature = "mutations"))]
         let trips_at_entry = self.quarantined_count();
@@ -877,22 +802,12 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             return Err(QueueError::Poisoned);
         }
 
-        if live.len() == 1 {
-            let i = live[0];
-            return match self.guarded_delete(i, w, out, count) {
-                Ok(got) => {
-                    if got > 0 {
-                        self.quality.record_delete(&[], 0, out[start].key.to_ordered_bits(), false);
-                    }
-                    self.note_success(i);
-                    Ok((got, (got > 0).then_some(i)))
-                }
-                Err(_) => {
-                    self.touch_front(w, true);
-                    self.quarantine(i);
-                    Err(QueueError::Poisoned)
-                }
-            };
+        if let &[i] = &live[..] {
+            let got = self.visit(i, w, out, count).ok_or(QueueError::Poisoned)?;
+            if got > 0 {
+                self.quality.record_delete(&[], 0, out[start].key.to_ordered_bits(), false);
+            }
+            return Ok((got, (got > 0).then_some(i)));
         }
 
         // Lock-free routing snapshot: every shard's published root-min
@@ -919,14 +834,25 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         }
         picks.sort_unstable_by_key(|&i| hints[i]);
 
+        // The sampled shards in hint order (a miss on the best steals
+        // from the next), then the exact sweep: a hint of `u64::MAX`
+        // means "empty or never published", so sampled misses do not
+        // prove emptiness. The sweep attempts a real delete on every
+        // live shard; only a full sweep of misses reports 0, which at
+        // quiescence is precise.
+        let sampled = picks.len();
         let mut clean_miss = false;
-        for (attempt, &i) in picks.iter().enumerate() {
-            match self.guarded_delete(i, w, out, count) {
-                Ok(0) => {
-                    clean_miss = true;
-                    self.note_success(i);
-                }
-                Ok(got) => {
+        for (n, &i) in picks.iter().chain(live.iter()).enumerate() {
+            if n == sampled {
+                self.quality.record_full_sweep();
+            }
+            if n >= sampled && self.is_quarantined(i) {
+                continue;
+            }
+            match self.visit(i, w, out, count) {
+                None => {}
+                Some(0) => clean_miss = true,
+                Some(got) => {
                     // SweepDiscardsOnTrip: a breaker tripped while this
                     // delete was in flight; the mutated router "rolls
                     // back" the batch and retries from a clean miss —
@@ -939,58 +865,10 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                     {
                         out.truncate(start);
                         clean_miss = true;
-                        self.note_success(i);
                         continue;
                     }
-                    self.quality.record_delete(
-                        hints,
-                        i,
-                        out[start].key.to_ordered_bits(),
-                        attempt > 0,
-                    );
-                    self.note_success(i);
+                    self.quality.record_delete(hints, i, out[start].key.to_ordered_bits(), n > 0);
                     return Ok((got, Some(i)));
-                }
-                Err(_) => {
-                    self.touch_front(w, true);
-                    self.quarantine(i);
-                }
-            }
-        }
-
-        // Exact fallback: a hint of `u64::MAX` means "empty or never
-        // published", so sampled misses do not prove emptiness. Attempt
-        // a real delete on every live shard; only a full sweep of
-        // misses reports 0, which at quiescence is precise.
-        self.quality.record_full_sweep();
-        for &i in live.iter() {
-            if self.is_quarantined(i) {
-                continue;
-            }
-            match self.guarded_delete(i, w, out, count) {
-                Ok(0) => {
-                    clean_miss = true;
-                    self.note_success(i);
-                }
-                Ok(got) => {
-                    // See the sampled loop: the mutated exact sweep
-                    // also rolls back on an observed trip.
-                    #[cfg(any(test, feature = "mutations"))]
-                    if self.mutation == Mutation::SweepDiscardsOnTrip
-                        && self.quarantined_count() > trips_at_entry
-                    {
-                        out.truncate(start);
-                        clean_miss = true;
-                        self.note_success(i);
-                        continue;
-                    }
-                    self.quality.record_delete(hints, i, out[start].key.to_ordered_bits(), true);
-                    self.note_success(i);
-                    return Ok((got, Some(i)));
-                }
-                Err(_) => {
-                    self.touch_front(w, true);
-                    self.quarantine(i);
                 }
             }
         }
@@ -1002,87 +880,48 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     }
 
     // ------------------------------------------------------------------
-    // Buffered mode (sticky batching — see the module docs)
+    // Buffered mode (sticky batching — see `buffer.rs`)
     // ------------------------------------------------------------------
-
-    /// The buffer slot a worker token hashes to. Panics when buffering
-    /// is off.
-    #[inline]
-    pub fn buffer_slot_for(&self, worker: usize) -> usize {
-        debug_assert!(!self.buffers.is_empty(), "buffered mode not enabled");
-        worker % self.buffers.len()
-    }
-
-    /// Lock the caller's *own* slot. Blocking is safe under the lock
-    /// discipline: the only other holders are `try_lock` harvesters and
-    /// quiescent drains, whose critical sections are pure memory moves
-    /// (no platform or shard calls). A poisoned slot (a fault-injected
-    /// panic unwound through its owner) is recovered, not propagated —
-    /// the buffers inside are always structurally valid.
-    #[inline]
-    fn lock_slot(&self, slot: usize) -> MutexGuard<'_, WorkerBuffers<K, V>> {
-        self.buffers[slot].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Try-lock a *foreign* slot; `None` when its owner (or another
-    /// harvester) holds it — a busy owner is mid-operation, so its keys
-    /// do not count against quiescent exactness.
-    #[inline]
-    fn try_lock_slot(&self, slot: usize) -> Option<MutexGuard<'_, WorkerBuffers<K, V>>> {
-        match self.buffers[slot].try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
 
     /// Buffered insert: stage `items` in the worker's slot, flushing to
     /// the shards first when staging would overflow the policy's
-    /// capacity `B`. Batches of `B` or more skip staging entirely (the
-    /// buffer exists to *assemble* batches; one that arrives pre-formed
-    /// routes directly, in `k`-wide chunks, after a flush keeps its
-    /// keys ordered around it).
+    /// capacity `B`. Batches of `B` or more skip staging (the buffer
+    /// exists to *assemble* batches; one that arrives pre-formed routes
+    /// directly, in `k`-wide chunks, after a flush keeps its keys
+    /// ordered around it). Without buffering this is
+    /// [`Self::try_insert`] with `worker` as the affinity.
     ///
     /// `Err` is clean: it is only returned when *none* of the new items
     /// were accepted — the error came from flushing *previously staged*
     /// keys, which remain staged. Once the new items start landing the
-    /// call commits: a chunk failure mid-way parks the un-inserted tail
-    /// in the stage (over capacity if need be) and still returns `Ok`,
-    /// so a retry never duplicates keys; the shards' backpressure
-    /// surfaces on the next flush instead.
+    /// call commits: a chunk failure (or unwind) mid-way leaves the
+    /// un-inserted tail in the stage (over capacity if need be) and
+    /// still returns `Ok`, so a retry never duplicates keys; the
+    /// shards' backpressure surfaces on the next flush instead.
     pub fn buffered_try_insert(
         &self,
         w: &mut P::Worker,
         worker: usize,
         items: &[Entry<K, V>],
     ) -> Result<(), QueueError> {
-        let policy = self.buffer_policy.expect("buffered mode not enabled");
+        let Some(bufs) = &self.buffers else {
+            return self.try_insert(w, worker, items);
+        };
         if items.is_empty() {
             return Ok(());
         }
-        let slot = self.buffer_slot_for(worker);
-        let cap = policy.insert_capacity;
-        if items.len() < cap {
-            let mut b = self.lock_slot(slot);
-            if b.stage.len() + items.len() > cap {
-                self.flush_locked(w, slot, &mut b)?;
-            }
-            b.stage.extend_from_slice(items);
-            self.buffered_keys.fetch_add(items.len() as u64, Ordering::Relaxed);
-        } else {
-            let mut b = self.lock_slot(slot);
-            self.flush_locked(w, slot, &mut b)?;
-            let k = self.node_capacity();
-            let mut done = 0;
-            while done < items.len() {
-                let end = (done + k).min(items.len());
-                if self.try_insert(w, slot, &items[done..end]).is_err() {
-                    b.stage.extend_from_slice(&items[done..]);
-                    self.buffered_keys.fetch_add((items.len() - done) as u64, Ordering::Relaxed);
-                    break;
-                }
-                done = end;
-            }
+        let slot = bufs.slot_for(worker);
+        let cap = bufs.policy.insert_capacity;
+        let direct = items.len() >= cap;
+        let mut b = bufs.lock(slot);
+        if direct || b.stage.len() + items.len() > cap {
+            self.flush_locked(w, bufs, slot, &mut b)?;
+        }
+        b.stage.extend_from_slice(items);
+        bufs.park(items.len());
+        if direct {
+            // Committed: a refused chunk leaves the un-inserted tail staged.
+            let _ = bufs.insert_chunks(&mut b.stage, |chunk| self.try_insert(w, slot, chunk));
         }
         OpStats::bump(&self.front_stats.inserts);
         OpStats::add(&self.front_stats.items_inserted, items.len() as u64);
@@ -1096,6 +935,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// live shard swept empty, the caller's own staged inserts were
     /// served, and every reachable foreign slot was harvested — at
     /// quiescence, `Ok(0)` really means the queue holds nothing.
+    /// Without buffering this is [`Self::try_delete_min`].
     ///
     /// Entries are ascending per call (they come from one sorted
     /// buffer).
@@ -1107,16 +947,17 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         out: &mut Vec<Entry<K, V>>,
         count: usize,
     ) -> Result<usize, QueueError> {
-        let policy = self.buffer_policy.expect("buffered mode not enabled");
+        let Some(bufs) = &self.buffers else {
+            return self.try_delete_min(w, rng, out, count);
+        };
         assert!(count >= 1, "delete batch must request at least one entry");
-        let slot = self.buffer_slot_for(worker);
-        let mut b = self.lock_slot(slot);
+        let slot = bufs.slot_for(worker);
+        let mut b = bufs.lock(slot);
         if b.ready.is_empty() {
             // A wide refill is several shard batches; if a later one
             // unwinds, the keys the earlier ones took out stay servable.
-            let refill = catch_unwind(AssertUnwindSafe(|| {
-                self.refill_locked(w, slot, rng, &mut b, &policy)
-            }));
+            let refill =
+                catch_unwind(AssertUnwindSafe(|| self.refill_locked(w, bufs, slot, rng, &mut b)));
             match refill {
                 Ok(r) => {
                     r?;
@@ -1124,7 +965,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
                 Err(p) => {
                     let got = b.tmp.len();
                     if got > 0 {
-                        self.commit_refill(&mut b, got, self.refill_width(&policy));
+                        self.commit_refill(bufs, &mut b, got);
                     }
                     resume_unwind(p);
                 }
@@ -1133,9 +974,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         let n = count.min(b.ready.len());
         let at = b.ready.len() - n;
         out.extend(b.ready.drain(at..).rev());
-        if n > 0 {
-            self.buffered_keys.fetch_sub(n as u64, Ordering::Relaxed);
-        }
+        bufs.unpark(n);
         OpStats::bump(&self.front_stats.delete_mins);
         OpStats::add(&self.front_stats.items_deleted, n as u64);
         Ok(n)
@@ -1148,48 +987,32 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     fn refill_locked(
         &self,
         w: &mut P::Worker,
+        bufs: &Buffers<K, V>,
         slot: usize,
         rng: &mut u64,
         b: &mut WorkerBuffers<K, V>,
-        policy: &BufferPolicy,
     ) -> Result<usize, QueueError> {
         debug_assert!(b.ready.is_empty());
         self.tick(w);
-        let width = self.refill_width(policy);
+        let width = bufs.refill_width;
         b.tmp.clear();
 
         // Sticky reuse: skip sampling while the latched shard has
         // tenure left and is still live. Rank error is still recorded
-        // honestly against a fresh hint scan.
-        if b.sticky_left > 0 {
+        // honestly against a fresh hint scan. A dry or failed sticky
+        // shard falls through to a fresh sample.
+        if b.sticky_left > 0 && !self.is_quarantined(b.sticky) {
             let i = b.sticky;
             b.sticky_left -= 1;
-            if i < self.shards.len() && !self.is_quarantined(i) {
-                OpStats::bump(&self.front_stats.sticky_reuses);
-                match self.guarded_delete(i, w, &mut b.tmp, width) {
-                    Ok(got) if got > 0 => {
-                        let first = b.tmp[0].key.to_ordered_bits();
-                        self.quality.record_delete_with_error(self.hint_error(w, i, first), false);
-                        self.note_success(i);
-                        self.commit_refill(b, got, width);
-                        return Ok(got);
-                    }
-                    Ok(_) => {
-                        // Sticky shard ran dry; fall through to a
-                        // fresh sample.
-                        b.sticky_left = 0;
-                        self.note_success(i);
-                    }
-                    Err(_) => {
-                        self.touch_front(w, true);
-                        self.quarantine(i);
-                        b.sticky_left = 0;
-                    }
-                }
-            } else {
-                b.sticky_left = 0;
+            OpStats::bump(&self.front_stats.sticky_reuses);
+            if let Some(got @ 1..) = self.visit(i, w, &mut b.tmp, width) {
+                let first = b.tmp[0].key.to_ordered_bits();
+                self.quality.record_delete_with_error(self.hint_error(w, i, first), false);
+                self.commit_refill(bufs, b, got);
+                return Ok(got);
             }
         }
+        b.sticky_left = 0;
 
         OpStats::bump(&self.front_stats.sticky_resamples);
         let mut rs = self.scratch_slot(w).take::<RouterScratch>().unwrap_or_default();
@@ -1199,72 +1022,29 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
             Ok((got, src)) if got > 0 => {
                 if let Some(i) = src {
                     b.sticky = i;
-                    b.sticky_left = policy.stickiness - 1;
+                    b.sticky_left = bufs.policy.stickiness - 1;
                 }
-                self.commit_refill(b, got, width);
+                self.commit_refill(bufs, b, got);
                 Ok(got)
             }
-            Ok(_) => Ok(self.serve_parked(slot, b)),
+            Ok(_) => Ok(bufs.serve_parked(slot, b)),
             // No live shard remains — but parked keys are still
             // reachable and must win over a Poisoned verdict.
-            Err(e) => {
-                if self.serve_parked(slot, b) > 0 {
-                    Ok(b.ready.len())
-                } else {
-                    Err(e)
-                }
-            }
+            Err(e) => match bufs.serve_parked(slot, b) {
+                0 => Err(e),
+                n => Ok(n),
+            },
         }
     }
 
-    /// Keys one refill asks the shards for (`k` when the policy leaves
-    /// it at 0).
-    fn refill_width(&self, policy: &BufferPolicy) -> usize {
-        if policy.refill_width == 0 {
-            self.node_capacity()
-        } else {
-            policy.refill_width
-        }
-    }
-
-    /// Account one shard-sourced refill and move `b.tmp` into
-    /// `b.ready` (descending, so pops serve ascending). Sorting rather
-    /// than reversing: a refill wider than `k` is several linearized
-    /// shard batches, whose concatenation need not be globally sorted
-    /// under concurrent inserts.
-    fn commit_refill(&self, b: &mut WorkerBuffers<K, V>, got: usize, width: usize) {
+    /// Account one shard-sourced refill of `got` keys and move `b.tmp`
+    /// into `b.ready`.
+    fn commit_refill(&self, bufs: &Buffers<K, V>, b: &mut WorkerBuffers<K, V>, got: usize) {
         OpStats::bump(&self.front_stats.buffer_refills);
         OpStats::add(&self.front_stats.buffer_refill_items, got as u64);
-        self.front_stats.record_batch_occupancy(got, width);
-        self.buffered_keys.fetch_add(got as u64, Ordering::Relaxed);
-        b.tmp.sort_unstable_by_key(|e| Reverse(e.key));
-        std::mem::swap(&mut b.ready, &mut b.tmp);
-        b.tmp.clear();
-    }
-
-    /// Exhausted-shards fallback: serve the caller's own staged inserts
-    /// and harvest every reachable foreign slot straight into `b.ready`
-    /// (the keys are already parked, so the global count is unchanged).
-    /// Returns how many keys became servable.
-    fn serve_parked(&self, slot: usize, b: &mut WorkerBuffers<K, V>) -> usize {
-        b.tmp.append(&mut b.stage);
-        for j in 0..self.buffers.len() {
-            if j == slot {
-                continue;
-            }
-            // Foreign slot: try_lock only, pure memory moves inside.
-            if let Some(mut fb) = self.try_lock_slot(j) {
-                b.tmp.append(&mut fb.ready);
-                b.tmp.append(&mut fb.stage);
-            }
-        }
-        if b.tmp.is_empty() {
-            return 0;
-        }
-        b.tmp.sort_unstable_by_key(|e| Reverse(e.key));
-        std::mem::swap(&mut b.ready, &mut b.tmp);
-        b.tmp.clear();
-        b.ready.len()
+        self.front_stats.record_batch_occupancy(got, bufs.refill_width);
+        bufs.park(got);
+        b.restock();
     }
 
     /// Flush the staged inserts of `b` to the shards in `k`-wide
@@ -1277,6 +1057,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     fn flush_locked(
         &self,
         w: &mut P::Worker,
+        bufs: &Buffers<K, V>,
         slot: usize,
         b: &mut WorkerBuffers<K, V>,
     ) -> Result<usize, QueueError> {
@@ -1287,23 +1068,9 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
         if self.is_quarantined(self.shard_for(slot)) {
             self.quality.record_buffer_reroute(total as u64);
         }
-        let k = self.node_capacity();
-        let cap = self.buffer_policy.map_or(k, |p| p.insert_capacity);
-        let mut flushed =
-            FlushedPrefix { stage: &mut b.stage, parked: &self.buffered_keys, done: 0 };
-        let r = loop {
-            if flushed.done >= total {
-                break Ok(());
-            }
-            let end = (flushed.done + k).min(total);
-            match self.try_insert(w, slot, &flushed.stage[flushed.done..end]) {
-                Ok(()) => flushed.done = end,
-                Err(e) => break Err(e),
-            }
-        };
-        let done = flushed.done;
-        drop(flushed);
+        let (done, r) = bufs.insert_chunks(&mut b.stage, |chunk| self.try_insert(w, slot, chunk));
         if done > 0 {
+            let cap = bufs.policy.insert_capacity;
             OpStats::bump(&self.front_stats.buffer_flushes);
             OpStats::add(&self.front_stats.buffer_flush_items, done as u64);
             self.front_stats.record_batch_occupancy(done.min(cap), cap);
@@ -1329,63 +1096,41 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     }
 
     /// Flush one worker's staged inserts to the shards (deletion-buffer
-    /// keys stay put — they were already removed from the shards). No-op
-    /// when unbuffered.
+    /// keys stay put — they were already removed from the shards).
+    /// `Ok(0)` when unbuffered.
     pub fn flush_slot(&self, w: &mut P::Worker, worker: usize) -> Result<usize, QueueError> {
-        if self.buffers.is_empty() {
-            return Ok(0);
-        }
-        let slot = self.buffer_slot_for(worker);
-        let mut b = self.lock_slot(slot);
-        self.flush_locked(w, slot, &mut b)
+        let Some(bufs) = &self.buffers else { return Ok(0) };
+        let slot = bufs.slot_for(worker);
+        self.flush_locked(w, bufs, slot, &mut bufs.lock(slot))
     }
 
     /// Fully quiesce one worker's slot: flush staged inserts *and*
     /// return deletion-buffer keys to the shards, leaving the slot
-    /// empty. On `Err` unreturned keys remain parked (never lost).
-    /// No-op when unbuffered. Returns keys moved back to the shards.
+    /// empty. On `Err` or an unwind unreturned keys remain parked
+    /// (never lost). `Ok(0)` when unbuffered. Returns keys moved back
+    /// to the shards.
     pub fn quiesce_slot(&self, w: &mut P::Worker, worker: usize) -> Result<usize, QueueError> {
-        if self.buffers.is_empty() {
-            return Ok(0);
+        let Some(bufs) = &self.buffers else { return Ok(0) };
+        let slot = bufs.slot_for(worker);
+        let mut guard = bufs.lock(slot);
+        let flushed = self.flush_locked(w, bufs, slot, &mut guard)?;
+        // The flush emptied the stage; the deletion buffer moves there
+        // ascending, so the home shard sees sorted batches and the keys
+        // a refused or unwound chunk leaves behind stay parked.
+        let b = &mut *guard;
+        b.stage.extend(b.ready.drain(..).rev());
+        let (moved, r) = bufs.insert_chunks(&mut b.stage, |chunk| self.try_insert(w, slot, chunk));
+        if r.is_err() {
+            // Back into the deletion buffer (descending), servable again.
+            b.ready.extend(b.stage.drain(..).rev());
         }
-        let slot = self.buffer_slot_for(worker);
-        let mut b = self.lock_slot(slot);
-        let mut moved = self.flush_locked(w, slot, &mut b)?;
-        if !b.ready.is_empty() {
-            // Reinsert ascending so the home shard sees sorted batches.
-            b.tmp.clear();
-            while let Some(e) = b.ready.pop() {
-                b.tmp.push(e);
-            }
-            let total = b.tmp.len();
-            let k = self.node_capacity();
-            let mut done = 0;
-            while done < total {
-                let end = (done + k).min(total);
-                if let Err(e) = self.try_insert(w, slot, &b.tmp[done..end]) {
-                    // Park the remainder back (descending), no loss.
-                    let rest = b.tmp.split_off(done);
-                    b.ready.extend(rest.into_iter().rev());
-                    b.tmp.clear();
-                    self.buffered_keys.fetch_sub(done as u64, Ordering::Relaxed);
-                    return Err(e);
-                }
-                done = end;
-            }
-            b.tmp.clear();
-            self.buffered_keys.fetch_sub(total as u64, Ordering::Relaxed);
-            moved += total;
-        }
-        Ok(moved)
+        r.map(|()| flushed + moved)
     }
 
     /// Quiesce every slot (drains and benches; quiescent callers).
     pub fn quiesce_all(&self, w: &mut P::Worker) -> Result<usize, QueueError> {
-        let mut moved = 0;
-        for slot in 0..self.buffers.len() {
-            moved += self.quiesce_slot(w, slot)?;
-        }
-        Ok(moved)
+        let slots = if self.buffers.is_some() { BUFFER_SLOTS } else { 0 };
+        (0..slots).try_fold(0, |moved, slot| Ok(moved + self.quiesce_slot(w, slot)?))
     }
 
     /// Remove every item from live shards and buffer slots (shard by
@@ -1394,56 +1139,15 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// skipped — their contents are unreachable by design. Quiescent
     /// callers only in buffered mode (slot locks are taken blocking).
     pub fn drain(&self, w: &mut P::Worker, out: &mut Vec<Entry<K, V>>) -> usize {
-        let parked = self.drain_buffers(out, true);
-        parked
-            + self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !self.is_quarantined(i))
-                .map(|(_, s)| s.drain(w, out))
-                .sum::<usize>()
+        let parked = self.buffers.as_ref().map_or(0, |b| b.drain(out, true));
+        parked + self.live_shards().map(|s| s.drain(w, out)).sum::<usize>()
     }
 
     /// Discard every item in live shards and buffer slots. Returns the
     /// number discarded.
     pub fn clear(&self, w: &mut P::Worker) -> usize {
-        let parked = self.drain_buffers(&mut Vec::new(), false);
-        parked
-            + self
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !self.is_quarantined(i))
-                .map(|(_, s)| s.clear(w))
-                .sum::<usize>()
-    }
-
-    /// Empty every buffer slot, appending (when `keep`) each slot's
-    /// keys to `out` in ascending key order per slot.
-    fn drain_buffers(&self, out: &mut Vec<Entry<K, V>>, keep: bool) -> usize {
-        let mut total = 0;
-        for slot in 0..self.buffers.len() {
-            let mut b = self.lock_slot(slot);
-            let n = b.parked();
-            if n == 0 {
-                continue;
-            }
-            if keep {
-                let start = out.len();
-                out.extend(b.ready.drain(..).rev());
-                out.append(&mut b.stage);
-                out[start..].sort_unstable_by_key(|e| e.key);
-            } else {
-                b.ready.clear();
-                b.stage.clear();
-            }
-            total += n;
-        }
-        if total > 0 {
-            self.buffered_keys.fetch_sub(total as u64, Ordering::Relaxed);
-        }
-        total
+        let parked = self.buffers.as_ref().map_or(0, |b| b.drain(&mut Vec::new(), false));
+        parked + self.live_shards().map(|s| s.clear(w)).sum::<usize>()
     }
 
     /// Check every live shard's heap invariants (quiescent callers
@@ -1452,13 +1156,7 @@ impl<K: KeyType, V: ValueType, P: Platform> ShardedBgpq<K, V, P> {
     /// are skipped: a crashed shard's invariants are void (that is why
     /// it was quarantined).
     pub fn check_invariants(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.is_quarantined(i))
-            .map(|(_, s)| s.check_invariants())
-            .sum::<usize>()
-            + self.buffered_len()
+        self.live_shards().map(Bgpq::check_invariants).sum::<usize>() + self.buffered_len()
     }
 }
 
@@ -1769,6 +1467,65 @@ mod tests {
     }
 
     #[test]
+    fn sweep_discards_on_trip_is_caught_in_the_exact_sweep_phase() {
+        use bgpq_runtime::{FaultAction, FaultPlan, InjectionPoint};
+        use std::sync::Arc;
+
+        // S = 3, c = 1: shard 0 is crashed (breaker still closed),
+        // shard 1 holds four keys, shard 2 is empty. A seed whose one
+        // sampled pick is shard 2 misses cleanly, so both the trip
+        // (shard 0) and the delete that observes it (shard 1) fall in
+        // the exact sweep, not the sampled phase.
+        let seed = (1u64..)
+            .find(|&s| {
+                let mut r = s;
+                next_u64(&mut r) % 3 == 2
+            })
+            .unwrap();
+        let run = |mutation: Mutation| {
+            let queue = BgpqOptions { node_capacity: 2, max_nodes: 64, ..Default::default() };
+            let plan = Arc::new(FaultPlan::new().with_rule(
+                InjectionPoint::MidInsertHeapify,
+                1,
+                FaultAction::Panic,
+            ));
+            let platforms: Vec<CpuPlatform> = (0..3)
+                .map(|i| {
+                    let p = CpuPlatform::new(queue.max_nodes + 1);
+                    if i == 0 {
+                        p.with_faults(plan.clone())
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            let mut q: ShardedBgpq<u32, u32, CpuPlatform> =
+                ShardedBgpq::with_platforms(platforms, ShardedOptions::new(3, 1, queue));
+            q.mutation = mutation;
+            let mut w = CpuWorker::new();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for i in 0..32u32 {
+                    q.shard(0).insert(&mut w, &[Entry::new(i, 0), Entry::new(i + 100, 0)]);
+                }
+            }));
+            assert!(r.is_err() && q.shard(0).is_poisoned());
+            for i in 0..4u32 {
+                q.insert(&mut w, 1, &[Entry::new(i, i)]);
+            }
+            let (mut rng, mut out) = (seed, Vec::new());
+            let got = q.try_delete_min(&mut w, &mut rng, &mut out, 2).unwrap();
+            assert!(q.is_quarantined(0), "the sweep tripped shard 0");
+            assert_eq!(q.quality().full_sweeps, 1, "the sampled pick missed");
+            // Accounting: delivered + resident against the four keys.
+            (got, out.len() + q.len())
+        };
+        assert_eq!(run(Mutation::None), (2, 4), "the clean sweep delivers and conserves");
+        let (got, held) = run(Mutation::SweepDiscardsOnTrip);
+        assert_eq!(got, 0, "the mutated sweep reports a clean miss");
+        assert_eq!(held, 2, "the accounting check sees the discarded batch");
+    }
+
+    #[test]
     fn merged_stats_fold_all_shards() {
         let q = sharded(4, 2, 8);
         let mut w = CpuWorker::new();
@@ -1785,7 +1542,7 @@ mod tests {
         s: usize,
         c: usize,
         k: usize,
-        policy: pq_api::BufferPolicy,
+        policy: BufferPolicy,
     ) -> ShardedBgpq<u32, u32, CpuPlatform> {
         let queue = BgpqOptions { node_capacity: k, max_nodes: 256, ..Default::default() };
         let platforms = (0..s).map(|_| CpuPlatform::new(queue.max_nodes + 1)).collect();
@@ -1797,7 +1554,7 @@ mod tests {
 
     #[test]
     fn buffered_insert_stages_until_capacity_then_flushes() {
-        let policy = pq_api::BufferPolicy::new().with_insert_capacity(4);
+        let policy = BufferPolicy::new().with_insert_capacity(4);
         let q = buffered(2, 1, 4, policy);
         let mut w = CpuWorker::new();
         for i in 0..3u32 {
@@ -1830,10 +1587,8 @@ mod tests {
 
     #[test]
     fn buffered_delete_refills_wide_and_serves_locally() {
-        let policy = pq_api::BufferPolicy::new()
-            .with_insert_capacity(8)
-            .with_refill_width(8)
-            .with_stickiness(4);
+        let policy =
+            BufferPolicy::new().with_insert_capacity(8).with_refill_width(8).with_stickiness(4);
         let q = buffered(2, 2, 4, policy);
         let mut w = CpuWorker::new();
         let mut rng = 11u64;
@@ -1877,10 +1632,8 @@ mod tests {
 
     #[test]
     fn sticky_tenure_counts_reuses_and_resamples() {
-        let policy = pq_api::BufferPolicy::new()
-            .with_insert_capacity(8)
-            .with_refill_width(2)
-            .with_stickiness(3);
+        let policy =
+            BufferPolicy::new().with_insert_capacity(8).with_refill_width(2).with_stickiness(3);
         let q = buffered(2, 1, 2, policy);
         let mut w = CpuWorker::new();
         let mut rng = 5u64;
@@ -1908,7 +1661,7 @@ mod tests {
 
     #[test]
     fn parked_keys_are_reachable_from_other_slots_and_drains() {
-        let policy = pq_api::BufferPolicy::new().with_insert_capacity(16).with_refill_width(4);
+        let policy = BufferPolicy::new().with_insert_capacity(16).with_refill_width(4);
         let q = buffered(2, 1, 4, policy);
         let mut w = CpuWorker::new();
         let mut rng = 9u64;
@@ -1941,7 +1694,7 @@ mod tests {
 
     #[test]
     fn quiesce_returns_every_parked_key_to_the_shards() {
-        let policy = pq_api::BufferPolicy::new().with_insert_capacity(16).with_refill_width(4);
+        let policy = BufferPolicy::new().with_insert_capacity(16).with_refill_width(4);
         let q = buffered(3, 2, 4, policy);
         let mut w = CpuWorker::new();
         let mut rng = 13u64;
@@ -1967,7 +1720,7 @@ mod tests {
 
     #[test]
     fn buffered_flush_reroutes_around_quarantine() {
-        let policy = pq_api::BufferPolicy::new().with_insert_capacity(8).with_refill_width(4);
+        let policy = BufferPolicy::new().with_insert_capacity(8).with_refill_width(4);
         let q = buffered(2, 1, 4, policy);
         let mut w = CpuWorker::new();
 

@@ -50,6 +50,10 @@ pub struct SkipList<K, V> {
     /// batched physical unlink when it exceeds `cleanup_threshold`.
     dead_since_cleanup: AtomicIsize,
     cleanup_threshold: isize,
+    /// Called after each level's cut in `cleanup_locked`, so a test can
+    /// land a lock-free claim between two cuts.
+    #[cfg(test)]
+    after_cut: Option<fn(&Self, usize)>,
 }
 
 // SAFETY: nodes are shared via raw pointers but (a) owned by the arena
@@ -68,6 +72,8 @@ impl<K: KeyType, V: ValueType> SkipList<K, V> {
             level_seed: AtomicU64::new(0x9E3779B97F4A7C15),
             dead_since_cleanup: AtomicIsize::new(0),
             cleanup_threshold: cleanup_threshold.max(1) as isize,
+            #[cfg(test)]
+            after_cut: None,
         }
     }
 
@@ -247,6 +253,10 @@ impl<K: KeyType, V: ValueType> SkipList<K, V> {
                 first = node.next[lvl].load(Ordering::Relaxed);
             }
             self.head.next[lvl].store(first, Ordering::Relaxed);
+            #[cfg(test)]
+            if let Some(hook) = self.after_cut {
+                hook(self, lvl);
+            }
         }
     }
 
@@ -364,6 +374,56 @@ mod tests {
             pred = unsafe { &*next };
         }
         sl.check_invariants();
+    }
+
+    /// A spray claim landing between two level cuts of one cleanup must
+    /// not leave an upper-level node that level 0 no longer links
+    /// (bottom-up cuts guarantee it; top-down cuts lose keys).
+    #[test]
+    fn claim_between_level_cuts_keeps_every_level_anchored_at_level_0() {
+        static FIRED: AtomicBool = AtomicBool::new(false);
+        /// Once, on the first cut that leaves a live node at the head
+        /// of its level, claim that node.
+        fn claim_cut_head(sl: &SkipList<u32, ()>, lvl: usize) {
+            let first = sl.head.next[lvl].load(Ordering::Acquire);
+            if first.is_null() || FIRED.load(Ordering::Relaxed) {
+                return;
+            }
+            // SAFETY: arena-owned node; the cleanup holds the write lock.
+            let node = unsafe { &*first };
+            if !node.deleted.load(Ordering::Relaxed) {
+                FIRED.store(true, Ordering::Relaxed);
+                assert!(sl.try_claim(node));
+            }
+        }
+
+        let mut sl = SkipList::<u32, ()>::new(1 << 20);
+        for k in (0..512u32).step_by(2) {
+            sl.insert(Entry::new(k, ()));
+        }
+        // Claim every key before the first node of the top non-empty
+        // level, so the live minimum is the tallest node: the first
+        // live head any cut order can expose.
+        let top =
+            (0..MAX_LEVEL).rev().find(|&l| !sl.head.next[l].load(Ordering::Acquire).is_null());
+        // SAFETY: a non-null head link points at an arena-owned node.
+        let tallest = unsafe { &*sl.head.next[top.unwrap()].load(Ordering::Acquire) }.entry.key;
+        for _ in 0..tallest / 2 {
+            sl.claim_min();
+        }
+        sl.after_cut = Some(claim_cut_head);
+        sl.cleanup_blocking();
+        assert!(FIRED.load(Ordering::Relaxed), "the hook claimed a node mid-cleanup");
+        sl.check_invariants();
+
+        // An insert just above the claimed node must land where
+        // `claim_min` looks.
+        sl.insert(Entry::new(tallest + 1, ()));
+        let mut got = Vec::new();
+        while let Some(e) = sl.claim_min() {
+            got.push(e.key);
+        }
+        assert!(got.contains(&(tallest + 1)), "insert after a mid-cleanup claim was lost");
     }
 
     #[test]

@@ -239,10 +239,8 @@ fn full_shards_park_the_tail_and_refuse_the_flush_typed() {
 /// lock watchdog. The injected panic unwinds through the front to the
 /// submitting thread, which counts the op as refused and carries on.
 ///
-/// Reaching the books at all is the no-hang claim. After `quiesce_all`
-/// and a drain, every accepted key must be popped, drained, stranded
-/// in a quarantined shard (walked out by salvage) or reported lost by
-/// that salvage — and no key may come back twice or uninvited.
+/// Reaching the books at all is the no-hang claim; then they must
+/// balance (`assert_books_balance`).
 fn buffered_drill(point: InjectionPoint, nth: u64, action: FaultAction) {
     let queue = BgpqOptions { node_capacity: 4, max_nodes: 1 << 10, ..Default::default() };
     let plan = Arc::new(FaultPlan::new().with_rule(point, nth, action));
@@ -311,9 +309,22 @@ fn buffered_drill(point: InjectionPoint, nth: u64, action: FaultAction) {
         );
     }
 
+    assert_books_balance(&q, &books, &format!("{point:?}/{action:?}"));
+}
+
+/// The books of a drill: after `quiesce_all` (which must leave nothing
+/// parked) and a drain, every accepted key must be popped, drained,
+/// stranded in a quarantined shard (walked out by salvage) or reported
+/// lost by that salvage — and no key may come back twice or uninvited.
+/// `books` holds each worker's accepted and popped keys.
+fn assert_books_balance(
+    q: &ShardedBgpq<u32, u32, CpuPlatform>,
+    books: &[(Vec<u32>, Vec<u32>)],
+    label: &str,
+) {
     let mut w = CpuWorker::new();
     q.quiesce_all(&mut w).expect("survivors take every parked key back");
-    assert_eq!(q.buffered_len(), 0);
+    assert_eq!(q.buffered_len(), 0, "{label}: quiesce leaves nothing parked");
     let mut returned = Vec::new();
     q.drain(&mut w, &mut returned);
     let mut reported_lost = 0;
@@ -328,7 +339,7 @@ fn buffered_drill(point: InjectionPoint, nth: u64, action: FaultAction) {
 
     let mut balance: HashMap<u32, i64> = HashMap::new();
     let mut accepted_total = 0usize;
-    for (accepted, popped) in &books {
+    for (accepted, popped) in books {
         accepted_total += accepted.len();
         for &k in accepted {
             *balance.entry(k).or_default() += 1;
@@ -341,14 +352,11 @@ fn buffered_drill(point: InjectionPoint, nth: u64, action: FaultAction) {
         *balance.entry(e.key).or_default() -= 1;
     }
     let invented: Vec<u32> = balance.iter().filter(|&(_, &n)| n < 0).map(|(&k, _)| k).collect();
-    assert!(
-        invented.is_empty(),
-        "{point:?}/{action:?}: keys returned twice or uninvited: {invented:?}"
-    );
+    assert!(invented.is_empty(), "{label}: keys returned twice or uninvited: {invented:?}");
     let missing = balance.values().sum::<i64>() as usize;
     assert!(
         missing <= reported_lost,
-        "{point:?}/{action:?}: {missing} of {accepted_total} accepted keys vanished, \
+        "{label}: {missing} of {accepted_total} accepted keys vanished, \
          salvage reported only {reported_lost} lost"
     );
 }
@@ -378,6 +386,67 @@ fn buffered_stall_drills_at_every_injection_point() {
         };
         buffered_drill(point, nth, FaultAction::Stall { units: 150_000 });
     }
+}
+
+/// Quiesce drill: shard 0 panics while `quiesce_all` returns a worker's
+/// deletion buffer to it. The keys not yet reinserted must stay parked
+/// (and counted) so the retried quiesce returns them — none may be
+/// stranded in refill scratch that the next refill clears.
+#[test]
+fn quiesce_unwind_keeps_deletion_buffer_keys_parked() {
+    // S = 2, k = 4, refill width 16: 32 keys on shard 0, one buffered
+    // pop restocks worker 0's deletion buffer with 16 and serves 1.
+    let setup = |plan: &Arc<FaultPlan>| {
+        let queue = BgpqOptions { node_capacity: 4, max_nodes: 256, ..Default::default() };
+        let platforms = (0..2)
+            .map(|i| {
+                let p = CpuPlatform::new(queue.max_nodes + 1);
+                if i == 0 {
+                    p.with_faults(plan.clone())
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let policy = BufferPolicy::new().with_insert_capacity(8).with_refill_width(16);
+        let q: ShardedBgpq<u32, u32, CpuPlatform> = ShardedBgpq::with_platforms(
+            platforms,
+            ShardedOptions::new(2, 2, queue).with_buffering(policy),
+        );
+        let mut w = CpuWorker::new();
+        let keys: Vec<Entry<u32, u32>> = (0..32u32).map(|i| Entry::new(i, i)).collect();
+        for chunk in keys.chunks(4) {
+            q.try_insert(&mut w, 0, chunk).unwrap();
+        }
+        let (mut rng, mut out) = (3u64, Vec::new());
+        assert_eq!(q.buffered_try_delete_min(&mut w, 0, &mut rng, &mut out, 1).unwrap(), 1);
+        assert_eq!(q.buffered_len(), 15);
+        let accepted: Vec<u32> = keys.iter().map(|e| e.key).collect();
+        let popped: Vec<u32> = out.iter().map(|e| e.key).collect();
+        (q, vec![(accepted, popped)])
+    };
+
+    // A counting twin finds the first lock acquisition on shard 0 that
+    // belongs to the quiesce; the drill panics exactly there.
+    let counting = Arc::new(FaultPlan::new().with_rule(
+        InjectionPoint::PreLockAcquire,
+        u64::MAX,
+        FaultAction::Panic,
+    ));
+    drop(setup(&counting));
+    let nth = counting.hits(InjectionPoint::PreLockAcquire) + 1;
+    let plan = Arc::new(FaultPlan::new().with_rule(
+        InjectionPoint::PreLockAcquire,
+        nth,
+        FaultAction::Panic,
+    ));
+    let (q, books) = setup(&plan);
+
+    let mut w = CpuWorker::new();
+    assert!(catch_unwind(AssertUnwindSafe(|| q.quiesce_all(&mut w))).is_err());
+    assert_eq!(plan.fired_count(), 1, "the panic fired inside quiesce_all");
+    assert_eq!(q.buffered_len(), 15, "unreturned keys stay parked and counted");
+    assert_books_balance(&q, &books, "quiesce unwind");
 }
 
 /// Conservation through the buffered front on the simulator: four
