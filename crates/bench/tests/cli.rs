@@ -4,11 +4,10 @@
 
 use std::process::Command;
 
-const BINS: [&str; 10] = [
+const BINS: [&str; 9] = [
     env!("CARGO_BIN_EXE_ablation"),
     env!("CARGO_BIN_EXE_crash_drill"),
     env!("CARGO_BIN_EXE_fig6"),
-    env!("CARGO_BIN_EXE_hotpath"),
     env!("CARGO_BIN_EXE_inspect"),
     env!("CARGO_BIN_EXE_kernels"),
     env!("CARGO_BIN_EXE_memory"),

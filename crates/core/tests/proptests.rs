@@ -38,6 +38,29 @@ fn ops_across_radix_threshold(k: usize, len: usize) -> impl Strategy<Value = Vec
     proptest::collection::vec(op, 1..len)
 }
 
+/// Operations at node capacity `k` that build a heap several levels
+/// deep, so DELETEMIN_HEAPIFY runs its sibling and parent/child splits
+/// on every crossing shape: mostly full insert batches with keys from
+/// a duplicate-heavy domain (64 or 1024 values) or a wide one, and
+/// full or partial deletes.
+fn ops_deep_duplicates(k: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
+    let keys = || {
+        prop_oneof![
+            proptest::collection::vec(0u32..64, k),
+            proptest::collection::vec(0u32..1024, k),
+            proptest::collection::vec(any::<u32>().prop_map(|x| x % (1 << 30)), k),
+            proptest::collection::vec(0u32..64, 1..=k),
+        ]
+    };
+    let op = prop_oneof![
+        keys().prop_map(Op::Insert),
+        keys().prop_map(Op::Insert),
+        Just(Op::Delete(k)),
+        (1..=k).prop_map(Op::Delete),
+    ];
+    proptest::collection::vec(op, 8..len)
+}
+
 /// Payload the model expects back with key `x`: checks that the
 /// staging sorts move each value together with its key.
 fn payload(x: u32) -> u32 {
@@ -115,6 +138,11 @@ proptest! {
     #[test]
     fn matches_model_k512_across_radix_threshold(ops in ops_across_radix_threshold(512, 24)) {
         run_against_model(512, BgpqOptions { node_capacity: 512, max_nodes: 512, ..Default::default() }, &ops)?;
+    }
+
+    #[test]
+    fn matches_model_k1024_duplicate_heavy(ops in ops_deep_duplicates(1024, 40)) {
+        run_against_model(1024, BgpqOptions { node_capacity: 1024, max_nodes: 64, ..Default::default() }, &ops)?;
     }
 
     #[test]

@@ -33,4 +33,7 @@ pub use merge_path::{
     parallel_merge,
 };
 pub use radix::{merge_sort, radix_sort, radix_sort_by_key, radix_sort_by_key_with, RadixKey};
-pub use sort_split::{sort_split, sort_split_full, SortSplitResult};
+pub use sort_split::{
+    sort_split, sort_split_full, sort_split_full_branchless, sort_split_full_in_place,
+    SortSplitResult,
+};
